@@ -14,6 +14,7 @@ the max-normalization denominators.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import threading
 import time
@@ -192,28 +193,51 @@ def _journal_row(r: RunRecord) -> list[str]:
     ]
 
 
+def _record_from_row(row: list[str]) -> RunRecord:
+    instance_id, solver_id, size, wall, proven, status = row
+    if proven not in ("true", "false") or status not in ("ok", "failed"):
+        raise ValueError("bad proven_optimal or status field")
+    return RunRecord(instance_id, solver_id, int(size), float(wall), proven == "true", status)
+
+
 def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
+    """Records and metadata of a journal.
+
+    A final line without a line end is an append torn by a kill; it is
+    dropped, so its pair runs again on resume.  A malformed row anywhere
+    else raises :class:`ScoringError` naming its line.
+    """
     path = Path(path)
     meta: dict[str, str] = {}
     records: list[RunRecord] = []
-    with path.open(newline="") as fh:
-        plain = (line for line in fh if not consume_meta_line(line, meta))
-        reader = csv.reader(plain)
-        header = next(reader, None)
-        if header is None or tuple(header) != JOURNAL_COLUMNS:
-            raise ScoringError(f"{path}: unexpected journal header {header}")
-        for row in reader:
-            records.append(
-                RunRecord(
-                    instance_id=row[0],
-                    solver_id=row[1],
-                    clique_size=int(row[2]),
-                    wall_seconds=float(row[3]),
-                    proven_optimal=row[4] == "true",
-                    status=row[5],
-                )
-            )
+    data = path.read_bytes()
+    lines = io.StringIO(data[: _complete_length(data)].decode(), newline="").readlines()
+    rows = [(i, ln) for i, ln in enumerate(lines, start=1) if not consume_meta_line(ln, meta)]
+    header = next(csv.reader([rows[0][1]])) if rows else None
+    if header is None or tuple(header) != JOURNAL_COLUMNS:
+        raise ScoringError(f"{path}: unexpected journal header {header}")
+    for lineno, line in rows[1:]:
+        try:
+            records.append(_record_from_row(next(csv.reader([line]), [])))
+        except ValueError:
+            raise ScoringError(f"{path}:{lineno}: malformed journal row {line!r}") from None
     return records, meta
+
+
+def _complete_length(data: bytes) -> int:
+    """Length up to the last line end; any bytes after it are a torn append."""
+    return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+
+
+def _drop_torn_tail(path: Path) -> bool:
+    """Cut a torn final row off the journal, so appends start on a fresh line."""
+    data = path.read_bytes()
+    keep = _complete_length(data)
+    if keep == len(data):
+        return False
+    with path.open("r+b") as fh:
+        fh.truncate(keep)
+    return True
 
 
 def _load_instance(source) -> Graph:
@@ -252,6 +276,8 @@ def run_campaign(
     done: dict[tuple[str, str], RunRecord] = {}
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and journal_path.exists():
+        if _drop_torn_tail(journal_path):
+            emit(f"{journal_path.name}: dropped a torn final row; its run repeats")
         for r in read_journal(journal_path)[0]:
             done.setdefault((r.instance_id, r.solver_id), r)
     elif journal_path is not None:

@@ -1,8 +1,10 @@
 """The 35-feature vector characterizing a maximum-clique instance.
 
 Every feature is polynomial-time: counting and degree statistics are
-linear, distance and betweenness statistics cost O(|V|*|E|) breadth-first
-sweeps, eigenvector centrality is a power iteration at O(k*|E|), and the
+linear; girth, the geodesic-distance statistics, closeness and
+betweenness all come from one breadth-first search per source over a
+CSR adjacency built once per instance, O(|V|*|E|) in total; eigenvector
+centrality is a power iteration at O(k*|E|) on the same CSR; and the
 spectral block is one dense symmetric eigendecomposition each of the
 adjacency and Laplacian matrices.  A single wall-clock budget covers the
 whole computation; instances that blow it raise
@@ -26,7 +28,7 @@ from .errors import (
     EigenConvergenceError,
     FeatureTimeoutError,
 )
-from .graph import Graph, validate_connected
+from .graph import Graph, greedy_clique, validate_connected
 
 __all__ = [
     "FEATURE_NAMES",
@@ -203,29 +205,20 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return np.repeat(frontier, counts), indices[offsets]
 
 
-def _bfs_levels(indptr, indices, source: int, n: int):
-    """Level sets and the distance array of one BFS."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    levels = [np.array([source], dtype=np.int64)]
-    d = 0
-    while True:
-        srcs, nbrs = _gather(indptr, indices, levels[-1])
-        if nbrs.size == 0:
-            break
-        fresh = np.unique(nbrs[dist[nbrs] == -1])
-        if fresh.size == 0:
-            break
-        dist[fresh] = d + 1
-        levels.append(fresh)
-        d += 1
-    return levels, dist
+def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
+    """One breadth-first search per source, shared by four feature groups.
 
-
-def _betweenness(g: Graph, deadline: _Deadline) -> np.ndarray:
-    """Brandes accumulation over every source, normalized by C(n-1, 2)."""
-    n = g.node_count
-    indptr, indices = _csr(g)
+    Returns ``(girth, hist, dist_sums, betweenness)``: the shortest cycle
+    length (0 when acyclic), the histogram of geodesic distances over
+    unordered pairs, each node's distance sum, and Brandes betweenness
+    normalized by C(n-1, 2).  A same-level edge at depth d closes an odd
+    cycle of length 2d+1; a node reached from two depth-d parents closes
+    an even one of length 2d+2; the minimum over all sources is the girth.
+    """
+    n = len(indptr) - 1
+    girth = math.inf
+    hist = np.zeros(n, dtype=np.int64)
+    dist_sums = np.zeros(n)
     bc = np.zeros(n)
     for s in range(n):
         deadline.check()
@@ -237,20 +230,23 @@ def _betweenness(g: Graph, deadline: _Deadline) -> np.ndarray:
         d = 0
         while True:
             srcs, nbrs = _gather(indptr, indices, levels[-1])
-            if nbrs.size == 0:
-                break
-            fresh = np.unique(nbrs[dist[nbrs] == -1])
-            if fresh.size:
-                dist[fresh] = d + 1
-            into_next = dist[nbrs] == d + 1
-            if into_next.any():
-                sigma += np.bincount(
-                    nbrs[into_next], weights=sigma[srcs[into_next]], minlength=n
-                )
+            nbr_dist = dist[nbrs]
+            if 2 * d + 1 < girth and (nbr_dist == d).any():
+                girth = 2 * d + 1
+            into_next = nbr_dist == -1
+            fresh = np.unique(nbrs[into_next])
             if fresh.size == 0:
                 break
+            dist[fresh] = d + 1
+            if 2 * d + 2 < girth and into_next.sum() > fresh.size:
+                girth = 2 * d + 2
+            sigma += np.bincount(nbrs[into_next], weights=sigma[srcs[into_next]], minlength=n)
             levels.append(fresh)
             d += 1
+        if (dist < 0).any():
+            raise DisconnectedGraphError("shortest-path features need a connected graph")
+        hist += np.bincount(dist[s + 1 :], minlength=n)
+        dist_sums[s] = dist.sum()
         delta = np.zeros(n)
         for lev in range(len(levels) - 1, 0, -1):
             srcs, nbrs = _gather(indptr, indices, levels[lev - 1])
@@ -263,19 +259,18 @@ def _betweenness(g: Graph, deadline: _Deadline) -> np.ndarray:
     bc /= 2.0  # each unordered pair contributes from both endpoints
     if n > 2:
         bc /= (n - 1) * (n - 2) / 2.0
-    return bc
+    return 0.0 if math.isinf(girth) else float(girth), hist, dist_sums, bc
 
 
-def _eigenvector_centrality(g: Graph, deadline: _Deadline) -> np.ndarray:
+def _eigenvector_centrality(indptr, indices, deadline: _Deadline) -> np.ndarray:
     """Dominant adjacency eigenvector by power iteration on A + I.
 
     The identity shift keeps the iteration convergent on bipartite graphs
     (where the raw adjacency spectrum is symmetric) without changing the
     eigenvector.  The result is normalized to unit Euclidean length.
     """
-    n = g.node_count
-    indptr, indices = _csr(g)
-    edge_src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    n = len(indptr) - 1
+    edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     x = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(_POWER_ITERATION_MAX_STEPS):
         deadline.check()
@@ -293,33 +288,15 @@ def _eigenvector_centrality(g: Graph, deadline: _Deadline) -> np.ndarray:
     )
 
 
-def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
-    """Medians and population standard deviations of four node centralities.
-
-    Betweenness uses Brandes' shortest-path accumulation; closeness is
-    (n-1) over the sum of distances; degree centrality is degree/(n-1);
-    eigenvector centrality comes from power iteration.  Requires a
-    connected graph so closeness and betweenness are well-defined.
-    """
-    if not validate_connected(g):
-        raise DisconnectedGraphError("centrality statistics need a connected graph")
-    deadline = _Deadline(timeout)
+def _centrality_from(g: Graph, csr, dist_sums, bc, deadline: _Deadline) -> CentralityStats:
     n = g.node_count
-    bc = _betweenness(g, deadline)
-
-    indptr, indices = _csr(g)
     if n > 1:
-        dist_sums = np.zeros(n)
-        for s in range(n):
-            deadline.check()
-            _, dist = _bfs_levels(indptr, indices, s, n)
-            dist_sums[s] = dist.sum()
         closeness = (n - 1) / dist_sums
         degree_centrality = np.asarray(g.degrees, dtype=float) / (n - 1)
     else:
         closeness = np.zeros(1)
         degree_centrality = np.zeros(1)
-    eigen = _eigenvector_centrality(g, deadline)
+    eigen = _eigenvector_centrality(*csr, deadline)
     return CentralityStats(
         median_betweenness=float(np.median(bc)),
         std_betweenness=float(np.std(bc)),
@@ -332,61 +309,29 @@ def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
     )
 
 
-def _girth(g: Graph, deadline: _Deadline) -> float:
-    """Length of the shortest cycle, 0 when the graph is acyclic.
+def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
+    """Medians and population standard deviations of four node centralities.
 
-    One BFS per source; a non-tree edge seen between nodes at depth d and
-    d (odd cycle, length 2d+1) or a node reached twice at depth d+1 (even
-    cycle, length 2d+2) bounds the girth, and the minimum over all
-    sources attains it.
+    Betweenness uses Brandes' shortest-path accumulation; closeness is
+    (n-1) over the sum of distances; degree centrality is degree/(n-1);
+    eigenvector centrality comes from power iteration.  Requires a
+    connected graph so closeness and betweenness are well-defined.
     """
-    n = g.node_count
-    indptr, indices = _csr(g)
-    best = math.inf
-    for s in range(n):
-        deadline.check()
-        if best == 3:
-            break
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        d = 0
-        while frontier.size and 2 * d + 1 < best:
-            srcs, nbrs = _gather(indptr, indices, frontier)
-            if nbrs.size == 0:
-                break
-            same_level = dist[nbrs] == d
-            if d > 0 and same_level.any():
-                best = min(best, 2 * d + 1)
-                break
-            unseen = nbrs[dist[nbrs] == -1]
-            fresh = np.unique(unseen)
-            if unseen.size > fresh.size and 2 * d + 2 < best:
-                best = min(best, 2 * d + 2)
-            if fresh.size == 0:
-                break
-            dist[fresh] = d + 1
-            frontier = fresh
-            d += 1
-    return 0.0 if math.isinf(best) else float(best)
+    if not validate_connected(g):
+        raise DisconnectedGraphError("centrality statistics need a connected graph")
+    deadline = _Deadline(timeout)
+    csr = _csr(g)
+    _, _, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
+    return _centrality_from(g, csr, dist_sums, bc, deadline)
 
 
-def _distance_stats(g: Graph, deadline: _Deadline) -> tuple[float, float, float]:
-    """(diameter, median, std) of geodesic distances over unordered pairs."""
-    n = g.node_count
-    if n == 1:
-        return 0.0, 0.0, 0.0
-    indptr, indices = _csr(g)
-    hist = np.zeros(n, dtype=np.int64)
-    for s in range(n - 1):
-        deadline.check()
-        _, dist = _bfs_levels(indptr, indices, s, n)
-        tail = dist[s + 1 :]
-        if (tail < 0).any():
-            raise DisconnectedGraphError("geodesic statistics need a connected graph")
-        hist += np.bincount(tail, minlength=n)
-    diameter = float(np.max(np.nonzero(hist)[0])) if hist.any() else 0.0
+def _distance_stats(hist: np.ndarray) -> tuple[float, float, float]:
+    """(diameter, median, std) of geodesic distances from their histogram."""
     total = int(hist.sum())
+    if total == 0:
+        return 0.0, 0.0, 0.0
+    n = hist.size
+    diameter = float(np.max(np.nonzero(hist)[0]))
     values = np.arange(n, dtype=float)
     cum = np.cumsum(hist)
     lo = int(np.searchsorted(cum, (total - 1) // 2 + 1))
@@ -498,28 +443,6 @@ def _greedy_coloring_count(g: Graph) -> int:
     return used_total
 
 
-def greedy_clique(g: Graph) -> list[int]:
-    """Deterministic greedy clique: highest-degree start, then repeatedly
-    add the candidate with the most neighbors inside the candidate set,
-    breaking ties by ascending node id."""
-    start = max(range(g.node_count), key=lambda v: (g.degrees[v], -v))
-    clique = [start]
-    cand = g.adj_bits[start]
-    while cand:
-        best_v, best_score = -1, -1
-        mask = cand
-        while mask:
-            lsb = mask & -mask
-            v = lsb.bit_length() - 1
-            mask ^= lsb
-            score = (g.adj_bits[v] & cand).bit_count()
-            if score > best_score:
-                best_score, best_v = score, v
-        clique.append(best_v)
-        cand &= g.adj_bits[best_v]
-    return sorted(clique)
-
-
 def mcp_specific_features(g: Graph) -> tuple[int, int]:
     """(k-core number, greedy chromatic estimate minus greedy clique size)."""
     colors = _greedy_coloring_count(g)
@@ -561,14 +484,16 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     timings["degree"] = time.perf_counter() - t0
     deadline.check()
 
+    # the shared sweep also yields betweenness and closeness; its time
+    # is booked to the distance group
     t0 = time.perf_counter()
-    girth = _girth(g, deadline)
-    diameter, median_geo, std_geo = _distance_stats(g, deadline)
+    csr = _csr(g)
+    girth, hist, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
+    diameter, median_geo, std_geo = _distance_stats(hist)
     timings["distance"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cent = centrality_stats(g, timeout=None if deadline.limit is None
-                            else max(deadline.limit - time.perf_counter(), 0.0))
+    cent = _centrality_from(g, csr, dist_sums, bc, deadline)
     timings["centrality"] = time.perf_counter() - t0
     deadline.check()
 

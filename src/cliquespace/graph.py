@@ -29,6 +29,9 @@ __all__ = [
     "serialize",
     "generate",
     "validate_connected",
+    "iter_bits",
+    "most_connected",
+    "greedy_clique",
 ]
 
 
@@ -80,16 +83,7 @@ class Graph:
         self.name = name
         self.edges = frozenset(canonical)
         self.adj_bits = tuple(bits)
-        adjacency = []
-        for u in range(node_count):
-            mask = bits[u]
-            nbrs = []
-            while mask:
-                lsb = mask & -mask
-                nbrs.append(lsb.bit_length() - 1)
-                mask ^= lsb
-            adjacency.append(tuple(nbrs))
-        self.adjacency = tuple(adjacency)
+        self.adjacency = tuple(tuple(iter_bits(mask)) for mask in bits)
         self.degrees = tuple(len(a) for a in self.adjacency)
 
     @property
@@ -116,6 +110,38 @@ class Graph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.node_count} m={self.edge_count}>"
+
+
+def iter_bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def most_connected(cand: int, adj) -> int:
+    """Vertex of ``cand`` with most neighbors inside ``cand`` (lowest id wins ties)."""
+    pick, pick_score = -1, -1
+    for v in iter_bits(cand):
+        score = (adj[v] & cand).bit_count()
+        if score > pick_score:
+            pick_score, pick = score, v
+    return pick
+
+
+def greedy_clique(g: Graph) -> list[int]:
+    """Deterministic greedy clique, sorted: starting from every node as
+    candidate, repeatedly add the candidate with the most neighbors among
+    the candidates, so the first pick is the highest-degree node."""
+    adj = g.adj_bits
+    cand = (1 << g.node_count) - 1
+    clique = []
+    while cand:
+        v = most_connected(cand, adj)
+        clique.append(v)
+        cand &= adj[v]
+    return sorted(clique)
 
 
 @dataclass(frozen=True)

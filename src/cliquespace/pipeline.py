@@ -153,6 +153,13 @@ def _get_float(cfg, section: str, option: str, fallback: float) -> float:
         raise ConfigError(f"{section}.{option}: {raw!r} is not a number") from None
 
 
+def _get_int(cfg, section: str, option: str, fallback: int) -> int:
+    try:
+        return cfg.getint(section, option, fallback=fallback)
+    except ValueError:
+        raise ConfigError(f"{section}.{option}: must be an integer") from None
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate an INI campaign config."""
     import configparser
@@ -169,10 +176,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     corpus = tuple(cfg.get("corpus", "paths", fallback="").split())
     portfolio = tuple(cfg.items("portfolio")) if cfg.has_section("portfolio") else ()
-    try:
-        seed = cfg.getint("run", "seed", fallback=0)
-    except ValueError:
-        raise ConfigError("run.seed: must be an integer") from None
     selector_input = cfg.get("selector", "input", fallback="z")
     base_dir = path.parent
     output_dir = Path(cfg.get("run", "output_dir", fallback="out"))
@@ -186,9 +189,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         correlation_threshold=_get_float(cfg, "thresholds", "correlation", 0.8),
         good_tolerance=_get_float(cfg, "thresholds", "good_tolerance", 0.05),
         selector_input=selector_input,
-        seed=seed,
+        seed=_get_int(cfg, "run", "seed", 0),
         output_dir=output_dir,
         base_dir=base_dir,
+        jobs=_get_int(cfg, "run", "jobs", 1),
     )
     config.validate()
     return config

@@ -13,31 +13,11 @@ from __future__ import annotations
 
 import time
 
-from ..graph import Graph
+from ..graph import Graph, greedy_clique
 
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _seed_clique(g: Graph) -> list[int]:
-    """Deterministic greedy warm start: grow from the busiest vertex."""
-    best_v = max(range(g.node_count), key=lambda v: (g.degrees[v], -v))
-    clique = [best_v]
-    cand = g.adj_bits[best_v]
-    while cand:
-        pick, pick_score = -1, -1
-        mask = cand
-        while mask:
-            lsb = mask & -mask
-            v = lsb.bit_length() - 1
-            mask ^= lsb
-            score = (g.adj_bits[v] & cand).bit_count()
-            if score > pick_score:
-                pick_score, pick = score, v
-        clique.append(pick)
-        cand &= g.adj_bits[pick]
-    return clique
 
 
 def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
@@ -55,7 +35,7 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     deadline = None if budget is None else start + budget
     adj = g.adj_bits
 
-    best = _seed_clique(g)
+    best = greedy_clique(g)
     if on_incumbent:
         on_incumbent(sorted(best), time.perf_counter() - start)
 

@@ -5,31 +5,9 @@ from __future__ import annotations
 import random
 import time
 
-from ..graph import Graph
+from ..graph import Graph, greedy_clique, iter_bits, most_connected
 
 _GREEDY_VARIANTS = ("random_karp", "max_degree")
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
-
-
-def _best_in(mask: int, cand: int, adj: tuple[int, ...]) -> int:
-    """Vertex of ``mask`` with most neighbors inside ``cand`` (lowest id wins ties)."""
-    pick, pick_score = -1, -1
-    while mask:
-        lsb = mask & -mask
-        v = lsb.bit_length() - 1
-        mask ^= lsb
-        score = (adj[v] & cand).bit_count()
-        if score > pick_score:
-            pick_score, pick = score, v
-    return pick
 
 
 def solve_greedy(g: Graph, variant: str = "max_degree", seed: int = 0, restarts: int = 1):
@@ -57,9 +35,9 @@ def solve_greedy(g: Graph, variant: str = "max_degree", seed: int = 0, restarts:
         cand = full
         while cand:
             if variant == "random_karp":
-                v = rng.choice(_bits(cand))
+                v = rng.choice(list(iter_bits(cand)))
             else:
-                v = _best_in(cand, cand, adj)
+                v = most_connected(cand, adj)
             clique.append(v)
             cand &= adj[v]
         if len(clique) > len(best):
@@ -110,15 +88,14 @@ def solve_local_search(
 
     def construct(round_idx: int) -> list[int]:
         if round_idx == 0:
-            v = max(_bits(alive), key=lambda u: (degree[u], -u))
-        else:
-            v = rng.choice(_bits(alive))
+            return greedy_clique(g)  # nothing is peeled before the first round
+        v = rng.choice(list(iter_bits(alive)))
         clique = [v]
         cand = adj[v] & alive
         while cand:
-            cand_list = _bits(cand)
-            if round_idx == 0 or len(cand_list) <= bms_samples:
-                pick = _best_in(cand, cand, adj)
+            cand_list = list(iter_bits(cand))
+            if len(cand_list) <= bms_samples:
+                pick = most_connected(cand, adj)
             else:
                 sample = {rng.choice(cand_list) for _ in range(bms_samples)}
                 pick = max(
@@ -132,14 +109,14 @@ def solve_local_search(
     def reduce_below(threshold: int) -> None:
         # peel every vertex that cannot appear in a clique larger than threshold
         nonlocal alive
-        stack = [v for v in _bits(alive) if degree[v] + 1 <= threshold]
+        stack = [v for v in iter_bits(alive) if degree[v] + 1 <= threshold]
         while stack:
             v = stack.pop()
             bit = 1 << v
             if not alive & bit:
                 continue
             alive &= ~bit
-            for w in _bits(adj[v] & alive):
+            for w in iter_bits(adj[v] & alive):
                 degree[w] -= 1
                 if degree[w] + 1 <= threshold:
                     stack.append(w)

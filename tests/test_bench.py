@@ -209,6 +209,25 @@ class TestJournal:
         with pytest.raises(ScoringError):
             read_journal(path)
 
+    def test_torn_final_row_dropped(self, tmp_path):
+        records = [rec("i1", "A", 10, 1.0), rec("i1", "B", 9, 2.0)]
+        path = tmp_path / "runs.csv"
+        write_journal(path, records, meta={"config": "deadbeef"})
+        with path.open("a") as fh:
+            fh.write("i2,A,4,2.1")  # killed mid-append: no line end
+        loaded, meta = read_journal(path)
+        assert loaded == records
+        assert meta == {"config": "deadbeef"}
+
+    def test_malformed_middle_row_names_its_line(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_journal(path, [rec("i1", "A", 10, 1.0)], meta={"config": "deadbeef"})
+        text = path.read_text()
+        path.write_text(text + "i1,B,9\r\n" + "i2,A,4,2.0,false,ok\r\n")
+        # line 1 is the meta comment, 2 the header, 3 the good row
+        with pytest.raises(ScoringError, match=r"runs\.csv:4"):
+            read_journal(path)
+
 
 def stub_solver(size, seconds, fail=False, counter=None):
     def run(g, budget):
@@ -250,6 +269,24 @@ class TestRunCampaign:
         assert len(calls) == 3, "journal hit must prevent re-execution"
         assert len(records) == 3
         assert len(matrix.instance_ids) == 3
+
+    def test_resume_after_torn_final_row(self, tmp_path):
+        journal = tmp_path / "runs.csv"
+        calls: list[int] = []
+        portfolio = [("s", stub_solver(5, 0.5, counter=calls))]
+        run_campaign(self.corpus(3), portfolio, budget=5.0, journal=journal)
+        data = journal.read_bytes()
+        journal.write_bytes(data[: data.rstrip().rfind(b"\n") + 1] + b"g2,s,5,0.")
+        lines: list[str] = []
+        matrix, records = run_campaign(
+            self.corpus(3), portfolio, budget=5.0, journal=journal, log=lines.append
+        )
+        assert len(calls) == 4, "only the torn pair runs again"
+        assert any("torn" in ln for ln in lines)
+        assert len(records) == 3
+        assert matrix.instance_ids == ("g0", "g1", "g2")
+        reread, _ = read_journal(journal)
+        assert sorted(r.instance_id for r in reread) == ["g0", "g1", "g2"]
 
     def test_crash_recorded_as_failed_run(self):
         matrix, records = run_campaign(

@@ -10,6 +10,9 @@ from cliquespace.errors import DisconnectedGraphError, FeatureTimeoutError
 from cliquespace.features import (
     FEATURE_NAMES,
     FeatureVector,
+    _csr,
+    _Deadline,
+    _shortest_path_sweep,
     centrality_stats,
     compute_features,
     greedy_clique,
@@ -20,7 +23,7 @@ from cliquespace.features import (
 )
 from cliquespace.graph import Graph, generate
 
-from oracles import connected_gnp, to_networkx
+from oracles import connected_gnp, from_networkx, to_networkx
 
 
 class TestFeatureVectorShape:
@@ -126,6 +129,52 @@ class TestDistanceFeatures:
         expected_girth = nx.girth(G)
         assert fv.girth == (0.0 if expected_girth == math.inf else float(expected_girth))
         assert fv.diameter == float(nx.diameter(G))
+
+
+# Symmetric graphs of even girth 2k >= 4: the sweep's 2d+2 branch sets the
+# girth at depth d = k-1 >= 1, and pairs at distance k are joined by more
+# than one geodesic.
+CAGE_GRAPHS = {
+    "heawood": (nx.heawood_graph, 6),
+    "hypercube4": (lambda: nx.hypercube_graph(4), 4),
+    "moebius_kantor": (nx.moebius_kantor_graph, 6),
+    "tutte_coxeter": (lambda: nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5), 8),
+}
+
+
+class TestShortestPathSweep:
+    @pytest.mark.parametrize("name", sorted(CAGE_GRAPHS))
+    def test_matches_networkx_on_even_girth_graphs(self, name):
+        build, girth = CAGE_GRAPHS[name]
+        G = build()
+        g = from_networkx(G, name=name)
+        H = to_networkx(g)
+        assert nx.girth(H) == girth
+        sweep_girth, hist, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(None))
+        assert sweep_girth == float(girth)
+        lengths = dict(nx.all_pairs_shortest_path_length(H))
+        pair_dists = [lengths[u][v] for u in H for v in H if u < v]
+        assert hist.tolist() == np.bincount(pair_dists, minlength=g.node_count).tolist()
+        n = g.node_count
+        expected_bc = nx.betweenness_centrality(H, normalized=True)
+        expected_cc = nx.closeness_centrality(H)
+        for v in range(n):
+            assert bc[v] == pytest.approx(expected_bc[v], abs=1e-12)
+            assert (n - 1) / dist_sums[v] == pytest.approx(expected_cc[v], abs=1e-12)
+        fv = compute_features(g)
+        assert fv.girth == float(girth)
+        assert fv.diameter == float(nx.diameter(H))
+        stats = centrality_stats(g)
+        assert stats.median_betweenness == pytest.approx(
+            float(np.median(list(expected_bc.values()))), abs=1e-12
+        )
+        assert stats.median_closeness == pytest.approx(
+            float(np.median(list(expected_cc.values()))), abs=1e-12
+        )
+
+    def test_disconnected_csr_rejected(self, two_triangles):
+        with pytest.raises(DisconnectedGraphError):
+            _shortest_path_sweep(*_csr(two_triangles), _Deadline(None))
 
 
 class TestCentralities:

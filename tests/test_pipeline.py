@@ -113,6 +113,16 @@ def test_load_config_fields(tmp_path):
     assert config.base_dir == tmp_path
 
 
+def test_load_config_reads_jobs(tmp_path):
+    assert load_config(write_config(tmp_path)).jobs == 1  # default
+    assert load_config(write_config(tmp_path, extra="jobs = 2")).jobs == 2
+
+
+def test_load_config_rejects_non_integer_jobs(tmp_path):
+    with pytest.raises(ConfigError, match="run.jobs"):
+        load_config(write_config(tmp_path, extra="jobs = two"))
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError, match="does not exist"):
         load_config("/nonexistent/campaign.ini")

@@ -14,7 +14,6 @@ the max-normalization denominators.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import threading
 import time
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import consume_meta_line, write_meta
+from .artifacts import read_table, write_table
 from .errors import ScoringError
 from .graph import Graph, parse_path
 
@@ -173,13 +172,7 @@ def label_good(
 def write_journal(
     path: str | Path, records: list[RunRecord], meta: dict[str, str] | None = None
 ) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(JOURNAL_COLUMNS)
-        for r in records:
-            writer.writerow(_journal_row(r))
+    write_table(path, JOURNAL_COLUMNS, (_journal_row(r) for r in records), meta)
 
 
 def _journal_row(r: RunRecord) -> list[str]:
@@ -207,20 +200,9 @@ def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
     dropped, so its pair runs again on resume.  A malformed row anywhere
     else raises :class:`ScoringError` naming its line.
     """
-    path = Path(path)
-    meta: dict[str, str] = {}
-    records: list[RunRecord] = []
-    data = path.read_bytes()
-    lines = io.StringIO(data[: _complete_length(data)].decode(), newline="").readlines()
-    rows = [(i, ln) for i, ln in enumerate(lines, start=1) if not consume_meta_line(ln, meta)]
-    header = next(csv.reader([rows[0][1]])) if rows else None
-    if header is None or tuple(header) != JOURNAL_COLUMNS:
-        raise ScoringError(f"{path}: unexpected journal header {header}")
-    for lineno, line in rows[1:]:
-        try:
-            records.append(_record_from_row(next(csv.reader([line]), [])))
-        except ValueError:
-            raise ScoringError(f"{path}:{lineno}: malformed journal row {line!r}") from None
+    data = Path(path).read_bytes()
+    text = data[: _complete_length(data)].decode()
+    meta, records = read_table(path, JOURNAL_COLUMNS, ScoringError, _record_from_row, text)
     return records, meta
 
 

@@ -14,7 +14,6 @@ exclude them instead of stalling.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import consume_meta_line, write_meta
+from .artifacts import read_table, write_table
 from .errors import (
     DisconnectedGraphError,
     EigenConvergenceError,
@@ -558,30 +557,18 @@ def write_features_csv(
     meta: dict[str, str] | None = None,
 ) -> None:
     """One row per instance: instance_id plus the 35 canonical columns."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(("instance_id",) + FEATURE_NAMES)
-        for instance_id, fv in rows:
-            writer.writerow(
-                [instance_id] + [repr(float(getattr(fv, n))) for n in FEATURE_NAMES]
-            )
+    write_table(
+        path,
+        ("instance_id",) + FEATURE_NAMES,
+        ([iid] + [repr(float(getattr(fv, n))) for n in FEATURE_NAMES] for iid, fv in rows),
+        meta,
+    )
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], np.ndarray, dict[str, str]]:
     """Returns (instance ids, matrix in canonical column order, meta)."""
-    path = Path(path)
-    meta: dict[str, str] = {}
-    ids: list[str] = []
-    data: list[list[float]] = []
-    with path.open(newline="") as fh:
-        plain = (line for line in fh if not consume_meta_line(line, meta))
-        reader = csv.reader(plain)
-        header = next(reader, None)
-        if header is None or tuple(header[1:]) != FEATURE_NAMES:
-            raise ValueError(f"{path}: unexpected feature CSV header")
-        for row in reader:
-            ids.append(row[0])
-            data.append([float(x) for x in row[1:]])
-    return ids, np.array(data, dtype=float).reshape(len(ids), len(FEATURE_NAMES)), meta
+    columns = ("instance_id",) + FEATURE_NAMES
+    meta, rows = read_table(path, columns, ValueError, lambda f: (f[0], [float(x) for x in f[1:]]))
+    ids = [iid for iid, _ in rows]
+    data = np.array([values for _, values in rows], dtype=float)
+    return ids, data.reshape(len(ids), len(FEATURE_NAMES)), meta

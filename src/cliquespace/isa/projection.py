@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..artifacts import read_lines, write_lines
 from ..errors import ModelFormatError, ProjectionError
 from .normalize import NormalizationParams, apply_normalization, identity_normalization
 
@@ -139,8 +140,7 @@ def project_many(model: ProjectionModel, matrix: np.ndarray, feature_names) -> n
 def write_projection_model(
     model: ProjectionModel, path: str | Path, meta: dict | None = None
 ) -> None:
-    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    lines += [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"source {model.source}"]
+    lines = [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"source {model.source}"]
     lines.append(f"features {len(model.selected_features)}")
     norm = model.normalization
     for i, name in enumerate(model.selected_features):
@@ -156,16 +156,12 @@ def write_projection_model(
     for row in model.matrix:
         lines.append(f"{row[0]:.17g} {row[1]:.17g}")
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines, meta)
 
 
 def read_projection_model(path: str | Path) -> ProjectionModel:
-    path = Path(path)
-    lines = [
-        ln.strip()
-        for ln in path.read_text().splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    _, body = read_lines(path)
+    lines = [ln.strip() for ln in body if ln.strip()]
     try:
         header = lines[0].split()
         if header[0] != _MODEL_MAGIC:

@@ -3,9 +3,12 @@
 A campaign is described by an INI config (corpus globs, portfolio,
 budgets, thresholds, output directory, seed).  Each stage reads its
 predecessors' artifacts from the output directory and writes its own.
-Every artifact embeds three metadata keys: the tool version, a hash of
-the semantic config fields, and a hash of the stage's input files.  A
-stage whose outputs already carry the current hashes is skipped, which
+The stage table (``_STAGES``) is the one list of the files each stage
+reads: the corpus files for ``ingest``, artifacts for the others.  The
+runner hashes those files once per stage and hands the stage its
+metadata: the tool version, a hash of the semantic config fields, and
+that inputs hash, which every artifact embeds (see ``artifacts``).  A
+stage whose outputs already carry the current metadata is skipped, which
 makes re-runs of an unchanged campaign close to free; the benchmarking
 stage additionally resumes from its journal, so even a forced re-run
 never repeats a completed solver execution.
@@ -13,10 +16,8 @@ never repeats a completed solver execution.
 
 from __future__ import annotations
 
-import csv
 import glob
 import hashlib
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import consume_meta_line, write_meta
+from .artifacts import read_artifact_meta, read_table, write_table
 from .bench import PerformanceMatrix, read_journal, run_campaign
 from .errors import (
     CampaignFailureError,
@@ -62,18 +63,6 @@ from .solvers.external import run_external
 
 TOOL_VERSION = f"cliquespace/{__version__}"
 
-ARTIFACTS = {
-    "ingest": ("corpus.csv",),
-    "features": ("features.csv",),
-    "bench": ("runs.csv",),
-    "isa-fit": ("sifted.csv", "projection.isa"),
-    "isa-project": ("projections.csv",),
-    "isa-footprint": ("footprints.csv",),
-    "train": ("selector.isa",),
-    "report": ("report.csv", "scatter.svg"),
-}
-STAGE_ORDER = tuple(ARTIFACTS)
-
 _MANIFEST_COLUMNS = (
     "instance_id",
     "path",
@@ -84,6 +73,8 @@ _MANIFEST_COLUMNS = (
     "usable",
     "note",
 )
+_PROJECTION_COLUMNS = ("instance_id", "z1", "z2", "best_solver")
+_FOOTPRINT_COLUMNS = ("solver_id", "good_count", "best_count", "area", "density", "purity")
 
 
 @dataclass(frozen=True)
@@ -201,10 +192,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ------------------------------------------------------------ hash plumbing
 
 
-def _sha12(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:12]
-
-
 def config_hash(config: PipelineConfig) -> str:
     """Hash of the semantic fields only.
 
@@ -222,7 +209,7 @@ def config_hash(config: PipelineConfig) -> str:
         f"selector_input={config.selector_input}",
         f"seed={config.seed}",
     ]
-    return _sha12("\n".join(parts).encode())
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
 
 
 def _files_hash(paths) -> str:
@@ -242,20 +229,6 @@ def artifact_meta(config: PipelineConfig, inputs_hash: str) -> dict[str, str]:
     }
 
 
-def read_artifact_meta(path: Path) -> dict[str, str]:
-    """Extract the embedded '# key=value' (or SVG comment) metadata block."""
-    meta: dict[str, str] = {}
-    text = Path(path).read_text(errors="replace")
-    if path.suffix == ".svg":
-        for m in re.finditer(r"<!--\s*(\S+)=(\S+)\s*-->", text):
-            meta[m.group(1)] = m.group(2)
-        return meta
-    for line in text.splitlines():
-        if not consume_meta_line(line, meta):
-            break
-    return meta
-
-
 # -------------------------------------------------------------- corpus I/O
 
 
@@ -270,23 +243,15 @@ def resolve_corpus(config: PipelineConfig) -> list[Path]:
     return sorted(matches)
 
 
-def _write_manifest(path: Path, rows: list[dict], meta: dict) -> None:
-    with path.open("w", newline="") as fh:
-        write_meta(fh, meta)
-        writer = csv.DictWriter(fh, fieldnames=_MANIFEST_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def _manifest_row(fields: list[str]) -> dict:
+    row = dict(zip(_MANIFEST_COLUMNS, fields))
+    row["usable"] = row["usable"] == "true"
+    row["connected"] = row["connected"] == "true"
+    return row
 
 
 def read_manifest(path: Path) -> tuple[list[dict], dict]:
-    meta: dict[str, str] = {}
-    rows: list[dict] = []
-    with path.open(newline="") as fh:
-        plain = (line for line in fh if not consume_meta_line(line, meta))
-        for row in csv.DictReader(plain):
-            row["usable"] = row["usable"] == "true"
-            row["connected"] = row["connected"] == "true"
-            rows.append(row)
+    meta, rows = read_table(path, _MANIFEST_COLUMNS, PipelineError, _manifest_row)
     return rows, meta
 
 
@@ -295,37 +260,63 @@ def _usable_instances(config: PipelineConfig) -> list[tuple[str, Path]]:
     return [(r["instance_id"], Path(r["path"])) for r in rows if r["usable"]]
 
 
-def _write_rows_csv(path: Path, header, rows, meta: dict) -> None:
-    with path.open("w", newline="") as fh:
-        write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def read_projections(path: Path) -> tuple[list[str], np.ndarray, list[str], dict]:
     """Returns (instance ids, N x 2 coordinates, best solver ids, meta)."""
-    meta: dict[str, str] = {}
-    ids: list[str] = []
-    coords: list[list[float]] = []
-    best: list[str] = []
-    with path.open(newline="") as fh:
-        plain = (line for line in fh if not consume_meta_line(line, meta))
-        reader = csv.reader(plain)
-        header = next(reader, None)
-        if header != ["instance_id", "z1", "z2", "best_solver"]:
-            raise PipelineError(f"{path}: unexpected projections header {header}")
-        for row in reader:
-            ids.append(row[0])
-            coords.append([float(row[1]), float(row[2])])
-            best.append(row[3])
-    return ids, np.array(coords).reshape(len(ids), 2), best, meta
+    meta, rows = read_table(
+        path,
+        _PROJECTION_COLUMNS,
+        PipelineError,
+        lambda f: (f[0], float(f[1]), float(f[2]), f[3]),
+    )
+    ids = [row[0] for row in rows]
+    coords = np.array([row[1:3] for row in rows]).reshape(len(ids), 2)
+    return ids, coords, [row[3] for row in rows], meta
+
+
+# ------------------------------------------------------- instance alignment
+
+
+def _positions(ids, wanted, source: str) -> list[int]:
+    """The position in ``ids`` of each item of ``wanted``, in that order."""
+    position = {iid: i for i, iid in enumerate(ids)}
+    missing = [iid for iid in wanted if iid not in position]
+    if missing:
+        raise PipelineError(f"{source} has no entry for {missing[:3]}")
+    return [position[iid] for iid in wanted]
+
+
+def _performance(config: PipelineConfig) -> PerformanceMatrix:
+    records, _ = read_journal(config.artifact("runs.csv"))
+    return PerformanceMatrix.from_records(records, config.good_tolerance)
+
+
+def _aligned(matrix: PerformanceMatrix, ids: list[str]) -> PerformanceMatrix:
+    """``matrix`` restricted to ``ids``, its rows in their order."""
+    rows = _positions(matrix.instance_ids, ids, "runs.csv")
+    return replace(
+        matrix,
+        instance_ids=tuple(ids),
+        y=matrix.y[rows],
+        good=matrix.good[rows],
+        best_solver=tuple(matrix.best_solver[i] for i in rows),
+    )
+
+
+def _features_with_runs(
+    config: PipelineConfig,
+) -> tuple[list[str], np.ndarray, PerformanceMatrix]:
+    """The instances with both features and runs, sorted, with their
+    feature rows and their performance rows in that order."""
+    ids, X, _ = read_features_csv(config.artifact("features.csv"))
+    matrix = _performance(config)
+    common = sorted(set(ids) & set(matrix.instance_ids))
+    return common, X[_positions(ids, common, "features.csv")], _aligned(matrix, common)
 
 
 # ------------------------------------------------------------------ stages
 
 
-def _stage_ingest(config: PipelineConfig, log) -> None:
+def _stage_ingest(config: PipelineConfig, meta: dict, log) -> None:
     files = resolve_corpus(config)
     if not files:
         raise PipelineError(
@@ -357,6 +348,8 @@ def _stage_ingest(config: PipelineConfig, log) -> None:
             rows.append(row)
             log(f"ingest: skipping {p.name}: {exc}")
             continue
+        for warning in report.warnings:
+            log(f"ingest: {p.name}: {warning}")
         g = report.graph
         row.update(
             format=report.format.name.lower(),
@@ -374,12 +367,16 @@ def _stage_ingest(config: PipelineConfig, log) -> None:
         rows.append(row)
     if not usable:
         raise PipelineError("no usable instance in the corpus (connected, >= 2 nodes)")
-    meta = artifact_meta(config, _files_hash(files))
-    _write_manifest(config.artifact("corpus.csv"), rows, meta)
+    write_table(
+        config.artifact("corpus.csv"),
+        _MANIFEST_COLUMNS,
+        ([row[c] for c in _MANIFEST_COLUMNS] for row in rows),
+        meta,
+    )
     log(f"ingest: {usable}/{len(rows)} usable instances")
 
 
-def _stage_features(config: PipelineConfig, log) -> None:
+def _stage_features(config: PipelineConfig, meta: dict, log) -> None:
     instances = _usable_instances(config)
 
     def one(item):
@@ -400,7 +397,6 @@ def _stage_features(config: PipelineConfig, log) -> None:
     rows = [(iid, fv) for iid, fv in computed if fv is not None]
     if not rows:
         raise PipelineError("feature extraction produced no usable instance")
-    meta = artifact_meta(config, _files_hash([config.artifact("corpus.csv")]))
     write_features_csv(config.artifact("features.csv"), rows, meta)
     log(f"features: {len(rows)}/{len(instances)} instances")
 
@@ -420,10 +416,9 @@ def _portfolio_callables(config: PipelineConfig):
     return portfolio
 
 
-def _stage_bench(config: PipelineConfig, log) -> None:
+def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
     instances = _usable_instances(config)
     journal = config.artifact("runs.csv")
-    meta = artifact_meta(config, _files_hash([config.artifact("corpus.csv")]))
     if journal.exists() and not _meta_matches(read_artifact_meta(journal), meta):
         log("bench: configuration changed; discarding stale journal")
         journal.unlink()
@@ -458,38 +453,17 @@ def _bench_complete(config: PipelineConfig) -> bool:
     )
 
 
-def _aligned_performance(config: PipelineConfig, ids: list[str]) -> PerformanceMatrix:
-    records, _ = read_journal(config.artifact("runs.csv"))
-    matrix = PerformanceMatrix.from_records(records, config.good_tolerance)
-    missing = [iid for iid in ids if iid not in matrix.instance_ids]
-    if missing:
-        raise PipelineError(f"runs.csv lacks instances {missing[:3]}")
-    index = [matrix.instance_ids.index(iid) for iid in ids]
-    return replace(
-        matrix,
-        instance_ids=tuple(ids),
-        y=matrix.y[index],
-        good=matrix.good[index],
-        best_solver=tuple(matrix.best_solver[i] for i in index),
-    )
-
-
-def _stage_isa_fit(config: PipelineConfig, log) -> None:
-    ids, X, _ = read_features_csv(config.artifact("features.csv"))
-    records, _ = read_journal(config.artifact("runs.csv"))
-    matrix = PerformanceMatrix.from_records(records, config.good_tolerance)
-    common = sorted(set(ids) & set(matrix.instance_ids))
+def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
+    common, Xa, matrix = _features_with_runs(config)
     if len(common) < 3:
         raise PipelineError(
             "projection needs at least 3 instances with both features and runs"
         )
-    Xa = X[[ids.index(iid) for iid in common]]
-    Ya = matrix.y[[matrix.instance_ids.index(iid) for iid in common]]
 
     params = fit_normalization(Xa, FEATURE_NAMES)
     Xn = apply_normalization(params, Xa, FEATURE_NAMES)
     sift = sifted_select(
-        Xn, params.feature_names, Ya, threshold=config.correlation_threshold
+        Xn, params.feature_names, matrix.y, threshold=config.correlation_threshold
     )
     selected = sift.selected
     fell_back = len(selected) < 2
@@ -501,22 +475,18 @@ def _stage_isa_fit(config: PipelineConfig, log) -> None:
             f"falling back to {len(wider)}"
         )
         selected = wider
-    columns = [params.feature_names.index(n) for n in selected]
+    columns = _positions(params.feature_names, selected, "normalization")
     model = fit_projection(Xn[:, columns], selected, params)
 
-    inputs_hash = _files_hash(
-        [config.artifact("features.csv"), config.artifact("runs.csv")]
-    )
-    meta = artifact_meta(config, inputs_hash)
-    sift_meta = dict(meta)
-    sift_meta.update(
+    sift_meta = dict(
+        meta,
         threshold=repr(config.correlation_threshold),
         k=str(sift.k),
         silhouette=repr(sift.silhouette),
         diagnostic=sift.diagnostic or "none",
         fallback="true" if fell_back else "false",
     )
-    _write_rows_csv(
+    write_table(
         config.artifact("sifted.csv"),
         ("feature", "max_abs_correlation", "kept_stage1", "selected"),
         [
@@ -534,40 +504,26 @@ def _stage_isa_fit(config: PipelineConfig, log) -> None:
     log(f"isa-fit: projecting from {len(selected)} features: {', '.join(selected)}")
 
 
-def _stage_isa_project(config: PipelineConfig, log) -> None:
-    ids, X, _ = read_features_csv(config.artifact("features.csv"))
-    model = read_projection_model(config.artifact("projection.isa"))
-    records, _ = read_journal(config.artifact("runs.csv"))
-    matrix = PerformanceMatrix.from_records(records, config.good_tolerance)
-    common = sorted(set(ids) & set(matrix.instance_ids))
+def _stage_isa_project(config: PipelineConfig, meta: dict, log) -> None:
+    common, Xa, matrix = _features_with_runs(config)
     if not common:
         raise PipelineError("no instance has both features and runs")
-    Z = project_many(model, X[[ids.index(iid) for iid in common]], FEATURE_NAMES)
-    best = {
-        iid: matrix.best_solver[matrix.instance_ids.index(iid)] for iid in common
-    }
-    inputs_hash = _files_hash(
-        [
-            config.artifact("features.csv"),
-            config.artifact("runs.csv"),
-            config.artifact("projection.isa"),
-        ]
-    )
-    _write_rows_csv(
+    model = read_projection_model(config.artifact("projection.isa"))
+    Z = project_many(model, Xa, FEATURE_NAMES)
+    write_table(
         config.artifact("projections.csv"),
-        ("instance_id", "z1", "z2", "best_solver"),
+        _PROJECTION_COLUMNS,
         [
-            (iid, repr(float(Z[i, 0])), repr(float(Z[i, 1])), best[iid])
+            (iid, repr(float(Z[i, 0])), repr(float(Z[i, 1])), matrix.best_solver[i])
             for i, iid in enumerate(common)
         ],
-        artifact_meta(config, inputs_hash),
+        meta,
     )
     log(f"isa-project: {len(common)} instances mapped to the plane")
 
 
-def _footprint_rows(config: PipelineConfig):
-    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
-    matrix = _aligned_performance(config, ids)
+def _footprint_rows(config: PipelineConfig, ids: list[str], Z: np.ndarray):
+    matrix = _aligned(_performance(config), ids)
     boundary = cloister_boundary(Z)
     rows = []
     for j, solver_id in enumerate(matrix.solver_ids):
@@ -582,39 +538,36 @@ def _footprint_rows(config: PipelineConfig):
                 repr(fp.purity),
             )
         )
-    return rows, boundary, matrix
+    return rows, boundary
 
 
-def _stage_isa_footprint(config: PipelineConfig, log) -> None:
-    _check_input_hashes(config, ("projections.csv", "runs.csv"))
-    rows, boundary, _ = _footprint_rows(config)
-    inputs_hash = _files_hash(
-        [config.artifact("projections.csv"), config.artifact("runs.csv")]
-    )
-    meta = artifact_meta(config, inputs_hash)
-    meta["boundary_area"] = repr(polygon_area(boundary))
-    _write_rows_csv(
+def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
+    _check_same_config(config, "isa-footprint")
+    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
+    rows, boundary = _footprint_rows(config, ids, Z)
+    write_table(
         config.artifact("footprints.csv"),
-        ("solver_id", "good_count", "best_count", "area", "density", "purity"),
+        _FOOTPRINT_COLUMNS,
         rows,
-        meta,
+        dict(meta, boundary_area=repr(polygon_area(boundary))),
     )
     log(f"isa-footprint: {len(rows)} solver footprints")
 
 
-def _selector_inputs(config: PipelineConfig) -> tuple[list[str], np.ndarray, tuple]:
+def _selector_inputs(
+    config: PipelineConfig, ids: list[str], Z: np.ndarray
+) -> tuple[np.ndarray, tuple]:
     """Training/evaluation inputs per the configured selector input space."""
-    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
     if config.selector_input == "z":
-        return ids, Z, ("z1", "z2")
+        return Z, ("z1", "z2")
     f_ids, X, _ = read_features_csv(config.artifact("features.csv"))
-    rows = [f_ids.index(iid) for iid in ids]
-    return ids, X[rows], FEATURE_NAMES
+    return X[_positions(f_ids, ids, "features.csv")], FEATURE_NAMES
 
 
-def _stage_train(config: PipelineConfig, log) -> None:
-    ids, inputs, names = _selector_inputs(config)
-    matrix = _aligned_performance(config, ids)
+def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
+    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
+    inputs, names = _selector_inputs(config, ids, Z)
+    matrix = _aligned(_performance(config), ids)
     model = train(
         inputs,
         matrix.good,
@@ -623,10 +576,7 @@ def _stage_train(config: PipelineConfig, log) -> None:
         input_space=config.selector_input,
         seed=config.seed,
     )
-    inputs_hash = _files_hash([config.artifact(a) for a in _train_input_names(config)])
-    write_selector_model(
-        model, config.artifact("selector.isa"), artifact_meta(config, inputs_hash)
-    )
+    write_selector_model(model, config.artifact("selector.isa"), meta)
     priors = sum(1 for c in model.classifiers.values() if not hasattr(c, "gamma"))
     log(
         f"train: {len(model.solver_ids)} classifiers over {len(ids)} instances"
@@ -634,19 +584,13 @@ def _stage_train(config: PipelineConfig, log) -> None:
     )
 
 
-def _train_input_names(config: PipelineConfig) -> tuple[str, ...]:
-    if config.selector_input == "features":
-        return ("projections.csv", "features.csv", "runs.csv")
-    return ("projections.csv", "runs.csv")
-
-
-def _check_input_hashes(config: PipelineConfig, names) -> None:
+def _check_same_config(config: PipelineConfig, stage: str) -> None:
     """Refuse to aggregate artifacts produced under different configs."""
     want = config_hash(config)
-    seen: dict[str, str] = {}
-    for name in names:
-        got = read_artifact_meta(config.artifact(name)).get("config", "missing")
-        seen[name] = got
+    seen = {
+        p.name: read_artifact_meta(p).get("config", "missing")
+        for p in _STAGES[stage].inputs(config)
+    }
     if any(got != want for got in seen.values()):
         detail = ", ".join(f"{n}={h}" for n, h in sorted(seen.items()))
         raise PipelineError(
@@ -655,41 +599,34 @@ def _check_input_hashes(config: PipelineConfig, names) -> None:
         )
 
 
-def _stage_report(config: PipelineConfig, log) -> None:
+def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
     from .report import render_scatter
 
-    input_names = _train_input_names(config) + ("selector.isa",)
-    _check_input_hashes(config, input_names)
-    rows, boundary, matrix = _footprint_rows(config)
+    _check_same_config(config, "report")
     ids, Z, best, _ = read_projections(config.artifact("projections.csv"))
+    rows, boundary = _footprint_rows(config, ids, Z)
     model = read_selector_model(config.artifact("selector.isa"))
-    _, inputs, _ = _selector_inputs(config)
+    inputs, _ = _selector_inputs(config, ids, Z)
     k = min(2, len(model.solver_ids))
     evaluation = evaluate_topk(model, inputs, best, k=k, instance_ids=ids)
     counts = {b: best.count(b) for b in set(best)}
     majority = max(counts.values()) / len(best)
 
-    inputs_hash = _files_hash([config.artifact(n) for n in input_names])
-    meta = artifact_meta(config, inputs_hash)
-    meta.update(
+    report_meta = dict(
+        meta,
         instances=str(len(ids)),
         boundary_area=repr(polygon_area(boundary)),
         top1_accuracy=repr(evaluation.accuracies[1]),
         topk_accuracy=repr(evaluation.accuracies[k]),
         majority_baseline=repr(majority),
     )
-    _write_rows_csv(
-        config.artifact("report.csv"),
-        ("solver_id", "good_count", "best_count", "area", "density", "purity"),
-        rows,
-        meta,
-    )
+    write_table(config.artifact("report.csv"), _FOOTPRINT_COLUMNS, rows, report_meta)
     render_scatter(
         Z,
         best,
         boundary,
         config.artifact("scatter.svg"),
-        meta=artifact_meta(config, inputs_hash),
+        meta=meta,
         title="Instance space by best solver",
     )
     log(
@@ -704,59 +641,73 @@ def _stage_report(config: PipelineConfig, log) -> None:
 @dataclass(frozen=True)
 class _Stage:
     name: str
-    run: object  # callable(config, log)
-    inputs: tuple[str, ...]  # artifact names this stage reads
+    run: object  # callable(config, meta, log)
+    inputs: object  # callable(config) -> paths of every file the stage reads
+    outputs: tuple[str, ...]  # artifact names the stage writes
     complete: object = None  # extra callable(config) -> bool for skip checks
 
 
-def _input_artifacts(config: PipelineConfig, stage: "_Stage") -> list[Path]:
-    if stage.name == "train":
-        return [config.artifact(n) for n in _train_input_names(config)]
-    if stage.name == "report":
-        return [
-            config.artifact(n) for n in _train_input_names(config) + ("selector.isa",)
-        ]
-    return [config.artifact(n) for n in stage.inputs]
+def _reads(*names: str, selector_space: bool = False):
+    """Stage inputs: the named artifacts, plus features.csv when
+    ``selector_space`` is set and the selector trains on raw features."""
+
+    def inputs(config: PipelineConfig) -> list[Path]:
+        extra = ("features.csv",) if config.selector_input == "features" else ()
+        return [config.artifact(n) for n in names + (extra if selector_space else ())]
+
+    return inputs
 
 
 _STAGES = {
     s.name: s
     for s in (
-        _Stage("ingest", _stage_ingest, ()),
-        _Stage("features", _stage_features, ("corpus.csv",)),
-        _Stage("bench", _stage_bench, ("corpus.csv",), _bench_complete),
-        _Stage("isa-fit", _stage_isa_fit, ("features.csv", "runs.csv")),
+        _Stage("ingest", _stage_ingest, resolve_corpus, ("corpus.csv",)),
+        _Stage("features", _stage_features, _reads("corpus.csv"), ("features.csv",)),
+        _Stage("bench", _stage_bench, _reads("corpus.csv"), ("runs.csv",), _bench_complete),
+        _Stage(
+            "isa-fit",
+            _stage_isa_fit,
+            _reads("features.csv", "runs.csv"),
+            ("sifted.csv", "projection.isa"),
+        ),
         _Stage(
             "isa-project",
             _stage_isa_project,
-            ("features.csv", "runs.csv", "projection.isa"),
+            _reads("features.csv", "runs.csv", "projection.isa"),
+            ("projections.csv",),
         ),
-        _Stage("isa-footprint", _stage_isa_footprint, ("projections.csv", "runs.csv")),
-        _Stage("train", _stage_train, ("projections.csv", "runs.csv")),
-        _Stage("report", _stage_report, ("projections.csv", "runs.csv", "selector.isa")),
+        _Stage(
+            "isa-footprint",
+            _stage_isa_footprint,
+            _reads("projections.csv", "runs.csv"),
+            ("footprints.csv",),
+        ),
+        _Stage(
+            "train",
+            _stage_train,
+            _reads("projections.csv", "runs.csv", selector_space=True),
+            ("selector.isa",),
+        ),
+        _Stage(
+            "report",
+            _stage_report,
+            _reads("projections.csv", "runs.csv", "selector.isa", selector_space=True),
+            ("report.csv", "scatter.svg"),
+        ),
     )
 }
-
-_PRODUCER = {
-    artifact: stage for stage, names in ARTIFACTS.items() for artifact in names
-}
-
-
-def _inputs_hash_for(config: PipelineConfig, stage: _Stage) -> str:
-    if stage.name == "ingest":
-        return _files_hash(resolve_corpus(config))
-    return _files_hash(_input_artifacts(config, stage))
+STAGE_ORDER = tuple(_STAGES)
+_PRODUCER = {out: s.name for s in _STAGES.values() for out in s.outputs}
 
 
 def _meta_matches(got: dict, want: dict) -> bool:
     return all(got.get(key) == value for key, value in want.items())
 
 
-def _up_to_date(config: PipelineConfig, stage: _Stage) -> bool:
-    want = artifact_meta(config, _inputs_hash_for(config, stage))
-    for name in ARTIFACTS[stage.name]:
+def _up_to_date(config: PipelineConfig, stage: _Stage, meta: dict) -> bool:
+    for name in stage.outputs:
         out = config.artifact(name)
-        if not out.exists() or not _meta_matches(read_artifact_meta(out), want):
+        if not out.exists() or not _meta_matches(read_artifact_meta(out), meta):
             return False
     if stage.complete is not None and not stage.complete(config):
         return False
@@ -788,16 +739,18 @@ def run_pipeline(
     statuses: list[tuple[str, str]] = []
     for name in requested:
         stage = _STAGES[name]
-        missing = [p for p in _input_artifacts(config, stage) if not p.exists()]
+        inputs = stage.inputs(config)
+        missing = [p for p in inputs if not p.exists()]
         if missing:
             raise PipelineError(
                 f"stage '{name}' requires {missing[0].name}, produced by "
                 f"stage '{_PRODUCER[missing[0].name]}'; run it first"
             )
-        if _up_to_date(config, stage):
+        meta = artifact_meta(config, _files_hash(inputs))
+        if _up_to_date(config, stage, meta):
             emit(f"{name}: up to date, skipped")
             statuses.append((name, "skipped"))
             continue
-        stage.run(config, emit)
+        stage.run(config, meta, emit)
         statuses.append((name, "ran"))
     return statuses

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import svg_meta_lines
+
 WIDTH, HEIGHT = 760, 560
 MARGIN = 56
 LEGEND_ROW = 20
@@ -68,7 +70,7 @@ def render_scatter(
 
     colors = solver_colors(labels)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.extend(f"<!-- {k}={v} -->" for k, v in (meta or {}).items())
+    out.extend(svg_meta_lines(meta))
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">'

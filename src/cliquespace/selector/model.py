@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import read_lines, write_lines
 from ..errors import ModelFormatError, SelectorError
 from .svm import SvmClassifier, balanced_weights, train_svm
 
@@ -245,8 +246,7 @@ def evaluate_topk(
 def write_selector_model(
     model: SelectorModel, path: str | Path, file_meta: dict | None = None
 ) -> None:
-    lines = [f"# {k}={v}" for k, v in (file_meta or {}).items()]
-    lines += [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"input_space {model.input_space}"]
+    lines = [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"input_space {model.input_space}"]
     for key in sorted(model.metadata):
         lines.append(f"meta {key}={model.metadata[key]}")
     lines.append(f"features {len(model.feature_names)}")
@@ -270,16 +270,12 @@ def write_selector_model(
             tokens = [f"{coef:.17g}"] + [f"{v:.17g}" for v in row]
             lines.append("sv " + " ".join(tokens))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines, file_meta)
 
 
 def read_selector_model(path: str | Path) -> SelectorModel:
-    path = Path(path)
-    lines = [
-        ln.rstrip("\n")
-        for ln in path.read_text().splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    _, body = read_lines(path)
+    lines = [ln for ln in body if ln.strip()]
     try:
         header = lines[0].split()
         if header[0] != _MODEL_MAGIC:

@@ -302,6 +302,38 @@ def test_ingest_marks_unusable_instances(tmp_path):
     assert by_id["broken"]["usable"] is False and by_id["broken"]["note"]
 
 
+def test_hash_stem_instance_survives_every_reader(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "#k6.clq").write_text(serialize(generate("complete", 6), GraphFormat.DIMACS_CLQ))
+    (corpus / "c7.clq").write_text(serialize(generate("cycle", 7), GraphFormat.DIMACS_CLQ))
+    (corpus / "g.clq").write_text(
+        serialize(connected_gnp(12, 0.5, seed=7), GraphFormat.DIMACS_CLQ)
+    )
+    config = load_config(write_config(tmp_path))
+    stages = ["ingest", "features", "bench"]
+    assert run_pipeline(config, stages) == [(s, "ran") for s in stages]
+    want = {"#k6", "c7", "g"}
+    rows, _ = read_manifest(config.artifact("corpus.csv"))
+    assert {r["instance_id"] for r in rows if r["usable"]} == want
+    ids, _, _ = read_features_csv(config.artifact("features.csv"))
+    assert set(ids) == want
+    records, _ = read_journal(config.artifact("runs.csv"))
+    assert {r.instance_id for r in records} == want
+    assert run_pipeline(config, stages) == [(s, "skipped") for s in stages]
+
+
+def test_ingest_logs_parse_warnings(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "dup.clq").write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 2\n")
+    config_path = write_config(tmp_path)
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    assert "ingest: dup.clq: dropped 1 duplicate edge(s)" in capsys.readouterr().err
+    rows, _ = read_manifest(load_config(config_path).artifact("corpus.csv"))
+    assert rows[0]["note"] == "" and rows[0]["usable"] is True
+
+
 def test_duplicate_instance_ids_rejected(tmp_path):
     corpus = tmp_path / "corpus"
     (corpus / "a").mkdir(parents=True)
@@ -441,6 +473,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["run", "--config", str(crash_cfg), "--stages", "ingest,bench"]) == 4
     capsys.readouterr()
+
+
+def _drop_usable_column(lines):
+    header = lines.index("instance_id,path,format,nodes,edges,connected,usable,note")
+    lines[header] = lines[header].replace(",usable", "")
+
+
+def _cut_first_row(lines):
+    first = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+    lines[first] = ",".join(lines[first].split(",")[:2])
+
+
+@pytest.mark.parametrize(
+    "artifact, corrupt, stage, line",
+    [
+        ("corpus.csv", _drop_usable_column, "features", 4),
+        ("projections.csv", _cut_first_row, "isa-footprint", 5),
+        ("features.csv", _cut_first_row, "isa-fit", 5),
+    ],
+)
+def test_cli_malformed_artifact_names_its_line(
+    completed_pipeline, tmp_path, capsys, artifact, corrupt, stage, line
+):
+    source, _, _, _ = completed_pipeline
+    work = tmp_path / "campaign"
+    shutil.copytree(source, work)
+    target = work / "out" / artifact
+    lines = target.read_text().splitlines()
+    corrupt(lines)
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(work / "campaign.ini"), "--stages", stage]) == 3
+    assert f"{artifact}:{line}:" in capsys.readouterr().err
 
 
 def test_cli_full_run_and_idempotent_rerun(tmp_path, capsys):

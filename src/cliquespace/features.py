@@ -27,7 +27,7 @@ from .errors import (
     EigenConvergenceError,
     FeatureTimeoutError,
 )
-from .graph import Graph, greedy_clique, validate_connected
+from .graph import Graph, greedy_clique, iter_bits, iter_edges, validate_connected
 
 __all__ = [
     "FEATURE_NAMES",
@@ -184,7 +184,7 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(g.node_count + 1, dtype=np.int64)
     np.cumsum(g.degrees, out=indptr[1:])
     indices = np.fromiter(
-        (v for u in range(g.node_count) for v in g.adjacency[u]),
+        (v for mask in g.adj_bits for v in iter_bits(mask)),
         dtype=np.int64,
         count=int(indptr[-1]),
     )
@@ -344,7 +344,7 @@ def _distance_stats(hist: np.ndarray) -> tuple[float, float, float]:
 def _global_clustering(g: Graph) -> float:
     """Transitivity: 3 * triangles over the number of connected triples."""
     triangles3 = 0  # every triangle is counted once per incident edge
-    for u, v in g.edges:
+    for u, v in iter_edges(g):
         triangles3 += (g.adj_bits[u] & g.adj_bits[v]).bit_count()
     wedges = sum(d * (d - 1) // 2 for d in g.degrees)
     return triangles3 / wedges if wedges else 0.0
@@ -354,7 +354,7 @@ def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the adjacency and Laplacian matrices."""
     n = g.node_count
     adj = np.zeros((n, n))
-    for u, v in g.edges:
+    for u, v in iter_edges(g):
         adj[u, v] = adj[v, u] = 1.0
     lap = np.diag(np.asarray(g.degrees, dtype=float)) - adj
     return np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
@@ -420,7 +420,7 @@ def _k_core_number(g: Graph) -> int:
         # stale entries are skipped above; d is v's current degree
         core = max(core, d)
         removed[v] = 1
-        for w in g.adjacency[v]:
+        for w in iter_bits(g.adj_bits[v]):
             if not removed[w]:
                 degree[w] -= 1
                 buckets[degree[w]].append(w)
@@ -433,7 +433,7 @@ def _greedy_coloring_count(g: Graph) -> int:
     color = [-1] * g.node_count
     used_total = 0
     for v in order:
-        taken = {color[w] for w in g.adjacency[v] if color[w] >= 0}
+        taken = {color[w] for w in iter_bits(g.adj_bits[v]) if color[w] >= 0}
         c = 0
         while c in taken:
             c += 1
@@ -476,9 +476,7 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     density = 2.0 * g.edge_count / (n * (n - 1))
     degrees = np.asarray(g.degrees, dtype=float)
     median_degree, std_degree = _pop_median_std(degrees)
-    neighbor_medians = np.array(
-        [np.median(degrees[list(g.adjacency[v])]) for v in range(n)]
-    )
+    neighbor_medians = np.array([np.median(degrees[list(iter_bits(m))]) for m in g.adj_bits])
     med_nbr_med, std_nbr_med = _pop_median_std(neighbor_medians)
     timings["degree"] = time.perf_counter() - t0
     deadline.check()

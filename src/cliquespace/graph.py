@@ -1,18 +1,17 @@
 """Graph representation, file ingestion, and synthetic generators.
 
 The :class:`Graph` type is the universe every other module computes on:
-an immutable, undirected, simple graph with dense 0-based node ids.
-Parsers canonicalize real-world benchmark files (DIMACS ``.clq``,
-whitespace edge lists, Matrix Market symmetric patterns), dropping
-self-loops and duplicate edges with warnings instead of failing, because
-published benchmark files do contain them.
+an immutable, undirected, simple graph with dense 0-based node ids and
+one neighbor bitmask per node.  Parsers canonicalize real-world benchmark
+files (DIMACS ``.clq``, edge lists, Matrix Market symmetric patterns),
+dropping self-loops and duplicate edges with warnings instead of failing,
+because published benchmark files do contain them.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -30,6 +29,7 @@ __all__ = [
     "generate",
     "validate_connected",
     "iter_bits",
+    "iter_edges",
     "most_connected",
     "greedy_clique",
 ]
@@ -53,45 +53,33 @@ _EXTENSION_FORMATS = {
 class Graph:
     """Immutable undirected simple graph.
 
-    Node ids are dense in ``[0, node_count)``.  Every edge is stored once
-    in canonical ``u < v`` order.  Adjacency is exposed three ways, all
-    built at construction time so instances are safe to share across
-    threads: sorted neighbor tuples, neighbor bitmasks (one int per
-    node), and the canonical edge set.
+    Node ids are dense in ``[0, node_count)``.  The only stored adjacency
+    is one neighbor bitmask per node (``adj_bits``); ``neighbors()``,
+    ``edges`` and :func:`iter_edges` derive from it on demand, so
+    instances hold no caches and are safe to share across threads.
     """
 
-    __slots__ = ("node_count", "name", "edges", "adjacency", "adj_bits", "degrees")
+    __slots__ = ("node_count", "name", "adj_bits", "degrees", "edge_count")
 
     def __init__(self, node_count: int, edges, name: str = "") -> None:
         if node_count < 1:
             raise GraphFormatError("a graph needs at least one node")
-        canonical: set[tuple[int, int]] = set()
-        bits = [0] * node_count
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) outside [0, {node_count})")
-            if u > v:
-                u, v = v, u
-            if (u, v) in canonical:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            canonical.add((u, v))
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+        self._fill(node_count, _edge_bits(node_count, edges), name)
+
+    def _fill(self, node_count: int, bits: list[int], name: str) -> None:
         self.node_count = node_count
         self.name = name
-        self.edges = frozenset(canonical)
         self.adj_bits = tuple(bits)
-        self.adjacency = tuple(tuple(iter_bits(mask)) for mask in bits)
-        self.degrees = tuple(len(a) for a in self.adjacency)
+        self.degrees = tuple(mask.bit_count() for mask in bits)
+        self.edge_count = sum(self.degrees) // 2
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The canonical ``(u, v)``, ``u < v`` edge set, built on each access."""
+        return frozenset(iter_edges(self))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(iter_bits(self.adj_bits[v]))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -102,14 +90,42 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and self.edges == other.edges
+        return self.adj_bits == other.adj_bits
 
     def __hash__(self) -> int:
-        return hash((self.node_count, self.edges))
+        return hash(self.adj_bits)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.node_count} m={self.edge_count}>"
+
+
+def _edge_bits(node_count: int, edges, warnings: list[str] | None = None) -> list[int]:
+    """Neighbor bitmasks of ``edges``, each edge checked once.  An endpoint
+    out of range raises ``ValueError``; so do a self-loop and a duplicate,
+    unless ``warnings`` is given, which counts them as dropped instead."""
+    bits = [0] * node_count
+    loops = dupes = 0
+    for u, v in edges:
+        if u == v:
+            if warnings is None:
+                raise ValueError(f"self-loop at node {u}")
+            loops += 1
+            continue
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) outside [0, {node_count})")
+        if (bits[u] >> v) & 1:
+            if warnings is None:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            dupes += 1
+            continue
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    if loops:
+        warnings.append(f"dropped {loops} self-loop(s)")
+    if dupes:
+        warnings.append(f"dropped {dupes} duplicate edge(s)")
+    return bits
 
 
 def iter_bits(mask: int):
@@ -118,6 +134,13 @@ def iter_bits(mask: int):
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+def iter_edges(g: Graph):
+    """Every edge once as ``(u, v)`` with ``u < v``, in lexicographic order."""
+    for u, mask in enumerate(g.adj_bits):
+        for v in iter_bits(mask >> (u + 1) << (u + 1)):
+            yield u, v
 
 
 def most_connected(cand: int, adj) -> int:
@@ -160,41 +183,16 @@ class IngestReport:
 
 
 def validate_connected(g: Graph) -> bool:
-    """True iff a breadth-first traversal from node 0 reaches every node."""
-    seen = bytearray(g.node_count)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == g.node_count
-
-
-def _canonicalize(
-    node_count: int, raw_edges: list[tuple[int, int]], warnings: list[str]
-) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    loops = dupes = 0
-    for u, v in raw_edges:
-        if u == v:
-            loops += 1
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in edges:
-            dupes += 1
-            continue
-        edges.add((u, v))
-    if loops:
-        warnings.append(f"dropped {loops} self-loop(s)")
-    if dupes:
-        warnings.append(f"dropped {dupes} duplicate edge(s)")
-    return edges
+    """True iff a frontier sweep from node 0 reaches every node."""
+    adj = g.adj_bits
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for u in iter_bits(frontier):
+            reach |= adj[u]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.node_count) - 1
 
 
 def _parse_dimacs(text: str, warnings: list[str]) -> tuple[int, list[tuple[int, int]]]:
@@ -344,8 +342,8 @@ def parse_graph(data: bytes | str, fmt: GraphFormat, name: str = "") -> IngestRe
         node_count, raw = _parse_matrix_market(text, warnings)
     else:
         raise GraphFormatError(f"unsupported format {fmt!r}")
-    edges = _canonicalize(node_count, raw, warnings)
-    graph = Graph(node_count, edges, name=name)
+    graph = Graph.__new__(Graph)
+    graph._fill(node_count, _edge_bits(node_count, raw, warnings), name)
     return IngestReport(
         graph=graph,
         format=fmt,
@@ -369,7 +367,7 @@ def parse_path(path: str | Path, fmt: GraphFormat | None = None) -> IngestReport
 
 def serialize(g: Graph, fmt: GraphFormat) -> str:
     """Render a graph in any supported format with byte-stable edge order."""
-    ordered = sorted(g.edges)
+    ordered = iter_edges(g)
     if fmt is GraphFormat.DIMACS_CLQ:
         lines = [f"p edge {g.node_count} {g.edge_count}"]
         lines.extend(f"e {u + 1} {v + 1}" for u, v in ordered)

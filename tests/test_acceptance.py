@@ -155,7 +155,7 @@ def test_criterion_04_brock200_1_parse_and_local_search():
             "or $CLIQUESPACE_DATA_DIR to enable this check"
         )
         pytest.skip("brock200_1.clq not available (cannot be synthesized)")
-    g = parse_path(path)
+    g = parse_path(path).graph
     density = 2.0 * g.edge_count / (g.node_count * (g.node_count - 1))
     result = solve_local_search(g, budget=60.0, seed=0)
     ok = (

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,15 @@ class TestDimacsParsing:
         assert report.graph.edge_count == 2
         assert any("self-loop" in w for w in report.warnings)
         assert any("duplicate" in w for w in report.warnings)
+
+    def test_warning_counts(self):
+        text = "p edge 3 7\ne 1 1\ne 1 2\ne 2 1\ne 3 3\ne 1 2\ne 2 3\ne 3 2\n"
+        report = parse_graph(text, GraphFormat.DIMACS_CLQ)
+        assert report.graph == Graph(3, [(0, 1), (1, 2)])
+        assert report.warnings == (
+            "dropped 2 self-loop(s)",
+            "dropped 3 duplicate edge(s)",
+        )
 
     def test_header_count_mismatch_warns(self):
         report = parse_graph("p edge 3 5\ne 1 2\n", GraphFormat.DIMACS_CLQ)
@@ -121,8 +131,8 @@ class TestGraphInvariants:
     def test_adjacency_consistency(self):
         g = generate("gnp", 30, 0.4, seed=3)
         for u in range(g.node_count):
-            for v in g.adjacency[u]:
-                assert u in g.adjacency[v]
+            for v in g.neighbors(u):
+                assert u in g.neighbors(v)
         assert sum(g.degrees) == 2 * g.edge_count
 
     def test_constructor_rejects_bad_edges(self):
@@ -137,7 +147,33 @@ class TestGraphInvariants:
         g = generate("gnp", 25, 0.5, seed=9)
         for u in range(g.node_count):
             for v in range(g.node_count):
-                assert g.has_edge(u, v) == (v in g.adjacency[u])
+                assert g.has_edge(u, v) == (v in g.neighbors(u))
+
+    # p stays low enough that many of the drawn graphs are disconnected
+    @given(
+        n=st.integers(1, 25),
+        p=st.floats(0.0, 0.4),
+        seed=st.integers(0, 10_000),
+        rnd=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_networkx(self, n, p, seed, rnd):
+        G = nx.gnp_random_graph(n, p, seed=seed)
+        g = Graph(n, list(G.edges()))
+        assert g.edges == frozenset((min(u, v), max(u, v)) for u, v in G.edges())
+        assert g.edge_count == G.number_of_edges()
+        assert g.degrees == tuple(G.degree(v) for v in range(n))
+        for u in range(n):
+            assert g.neighbors(u) == tuple(sorted(G[u]))
+            for v in range(n):
+                assert g.has_edge(u, v) == G.has_edge(u, v)
+        assert validate_connected(g) == nx.is_connected(G)
+
+        shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in G.edges()]
+        rnd.shuffle(shuffled)
+        same = Graph(n, shuffled)
+        assert same == g
+        assert hash(same) == hash(g)
 
 
 class TestGenerate:
@@ -216,6 +252,17 @@ class TestSerialization:
             assert parsed.edges == g.edges
             if fmt is not GraphFormat.EDGE_LIST:
                 assert parsed.node_count == g.node_count
+
+    def test_golden_bytes(self):
+        # edges given out of order and reversed; output order is lexicographic
+        g = Graph(4, [(3, 2), (0, 3), (2, 1), (1, 0)])
+        assert serialize(g, GraphFormat.DIMACS_CLQ) == "p edge 4 4\ne 1 2\ne 1 4\ne 2 3\ne 3 4\n"
+        assert serialize(g, GraphFormat.EDGE_LIST) == "0 1\n0 3\n1 2\n2 3\n"
+        assert serialize(g, GraphFormat.MATRIX_MARKET) == (
+            "%%MatrixMarket matrix coordinate pattern symmetric\n"
+            "4 4 4\n"
+            "2 1\n4 1\n3 2\n4 3\n"
+        )
 
     def test_detect_format(self, tmp_path):
         assert detect_format("x/brock200_1.clq") is GraphFormat.DIMACS_CLQ

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,7 @@ __all__ = [
     "score_instance",
     "label_good",
     "run_campaign",
+    "map_jobs",
     "write_journal",
     "read_journal",
 ]
@@ -228,6 +230,15 @@ def _load_instance(source) -> Graph:
     return parse_path(source).graph
 
 
+def map_jobs(fn, items, jobs: int) -> list:
+    """``fn`` over ``items``, results in input order: serially when
+    ``jobs <= 1`` or fewer than two items, else on ``jobs`` threads."""
+    if jobs <= 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_campaign(
     corpus: list[tuple[str, object]],
     portfolio: list[tuple[str, object]],
@@ -243,8 +254,9 @@ def run_campaign(
     ``corpus`` holds (instance_id, Graph-or-path) pairs; unloadable
     instances are skipped with a log line.  ``portfolio`` holds
     (solver_id, callable(graph, budget) -> SolveResult) pairs.  Pairs
-    already present in the journal are not re-executed.  A solver
-    exception becomes a failed record, not a crash of the campaign.
+    already present in the journal are not re-executed, and each new
+    record is flushed and fsynced as it is appended.  A solver exception
+    becomes a failed record, not a crash of the campaign.
     """
     if not corpus:
         raise ScoringError("corpus is empty")
@@ -307,14 +319,10 @@ def run_campaign(
             with journal_lock:
                 with journal_path.open("a", newline="") as fh:
                     csv.writer(fh).writerow(_journal_row(record))
+                    fh.flush()
+                    os.fsync(fh.fileno())
         return record
 
-    if parallelism > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            new_records = list(pool.map(execute, pending))
-    else:
-        new_records = [execute(task) for task in pending]
-
-    records = list(done.values()) + new_records
+    records = list(done.values()) + map_jobs(execute, pending, parallelism)
     matrix = PerformanceMatrix.from_records(records, tolerance)
     return matrix, records

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,45 +43,6 @@ __all__ = [
     "read_features_csv",
 ]
 
-# Canonical feature order; CSV columns follow it exactly.
-FEATURE_NAMES: tuple[str, ...] = (
-    "node_count",
-    "edge_count",
-    "density",
-    "girth",
-    "diameter",
-    "median_betweenness_centrality",
-    "median_closeness_centrality",
-    "median_degree_centrality",
-    "median_eigenvector_centrality",
-    "std_betweenness_centrality",
-    "std_closeness_centrality",
-    "std_degree_centrality",
-    "std_eigenvector_centrality",
-    "median_degree",
-    "std_degree",
-    "median_median_neighbor_degree",
-    "std_median_neighbor_degree",
-    "median_geodesic_distance",
-    "std_geodesic_distance",
-    "global_clustering_coefficient",
-    "even_closed_walk_proportion",
-    "spectral_radius",
-    "laplacian_spectral_radius",
-    "energy",
-    "std_adjacency_eigenvalues",
-    "smallest_nonzero_laplacian",
-    "second_smallest_nonzero_laplacian",
-    "second_largest_laplacian",
-    "smallest_adjacency",
-    "second_smallest_adjacency",
-    "second_largest_adjacency",
-    "gap_largest_second_largest_adjacency",
-    "gap_largest_smallest_laplacian",
-    "k_core_number",
-    "chromatic_minus_greedy_clique_gap",
-)
-
 # Relative threshold below which a Laplacian eigenvalue counts as zero.
 _LAPLACIAN_ZERO_RTOL = 1e-8
 
@@ -91,7 +52,10 @@ _POWER_ITERATION_MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """One instance's feature values plus per-group compute times."""
+    """One instance's feature values plus per-group compute times.
+
+    The field order is the canonical feature order; CSV columns follow it.
+    """
 
     node_count: float
     edge_count: float
@@ -137,7 +101,9 @@ class FeatureVector:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
 
-assert tuple(f.name for f in fields(FeatureVector))[: len(FEATURE_NAMES)] == FEATURE_NAMES
+FEATURE_NAMES: tuple[str, ...] = tuple(
+    f.name for f in fields(FeatureVector) if f.name != "timings"
+)
 
 
 @dataclass(frozen=True)
@@ -189,6 +155,13 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         count=int(indptr[-1]),
     )
     return indptr, indices
+
+
+def _neighbor_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Each node's ascending neighbor list, sliced out of the CSR."""
+    bounds = indptr.tolist()
+    flat = indices.tolist()
+    return [flat[bounds[v] : bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
@@ -400,10 +373,10 @@ def spectral_features(g: Graph, timeout: float | None = None) -> SpectralStats:
     )
 
 
-def _k_core_number(g: Graph) -> int:
+def _k_core_number(nbrs: list[list[int]]) -> int:
     """Largest k with a non-empty subgraph of minimum degree k (peeling)."""
-    n = g.node_count
-    degree = list(g.degrees)
+    n = len(nbrs)
+    degree = [len(a) for a in nbrs]
     max_deg = max(degree) if degree else 0
     buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
     for v, d in enumerate(degree):
@@ -420,20 +393,20 @@ def _k_core_number(g: Graph) -> int:
         # stale entries are skipped above; d is v's current degree
         core = max(core, d)
         removed[v] = 1
-        for w in iter_bits(g.adj_bits[v]):
+        for w in nbrs[v]:
             if not removed[w]:
                 degree[w] -= 1
                 buckets[degree[w]].append(w)
     return core
 
 
-def _greedy_coloring_count(g: Graph) -> int:
+def _greedy_coloring_count(nbrs: list[list[int]]) -> int:
     """Colors used by largest-degree-first sequential coloring."""
-    order = sorted(range(g.node_count), key=lambda v: (-g.degrees[v], v))
-    color = [-1] * g.node_count
+    order = sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v))
+    color = [-1] * len(nbrs)
     used_total = 0
     for v in order:
-        taken = {color[w] for w in iter_bits(g.adj_bits[v]) if color[w] >= 0}
+        taken = {color[w] for w in nbrs[v] if color[w] >= 0}
         c = 0
         while c in taken:
             c += 1
@@ -442,11 +415,13 @@ def _greedy_coloring_count(g: Graph) -> int:
     return used_total
 
 
+def _clique_features(g: Graph, nbrs: list[list[int]]) -> tuple[int, int]:
+    return _k_core_number(nbrs), _greedy_coloring_count(nbrs) - len(greedy_clique(g))
+
+
 def mcp_specific_features(g: Graph) -> tuple[int, int]:
     """(k-core number, greedy chromatic estimate minus greedy clique size)."""
-    colors = _greedy_coloring_count(g)
-    clique_size = len(greedy_clique(g))
-    return _k_core_number(g), colors - clique_size
+    return _clique_features(g, _neighbor_lists(*_csr(g)))
 
 
 def _pop_median_std(values: np.ndarray) -> tuple[float, float]:
@@ -472,11 +447,15 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     timings: dict[str, float] = {}
     n = g.node_count
 
+    # the one walk over the neighbor bitmasks; its time is booked to the
+    # degree group
     t0 = time.perf_counter()
+    csr = _csr(g)
+    nbrs = _neighbor_lists(*csr)
     density = 2.0 * g.edge_count / (n * (n - 1))
     degrees = np.asarray(g.degrees, dtype=float)
     median_degree, std_degree = _pop_median_std(degrees)
-    neighbor_medians = np.array([np.median(degrees[list(iter_bits(m))]) for m in g.adj_bits])
+    neighbor_medians = np.array([np.median(degrees[a]) for a in nbrs])
     med_nbr_med, std_nbr_med = _pop_median_std(neighbor_medians)
     timings["degree"] = time.perf_counter() - t0
     deadline.check()
@@ -484,7 +463,6 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     # the shared sweep also yields betweenness and closeness; its time
     # is booked to the distance group
     t0 = time.perf_counter()
-    csr = _csr(g)
     girth, hist, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
     diameter, median_geo, std_geo = _distance_stats(hist)
     timings["distance"] = time.perf_counter() - t0
@@ -505,7 +483,7 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     deadline.check()
 
     t0 = time.perf_counter()
-    k_core, chrom_gap = mcp_specific_features(g)
+    k_core, chrom_gap = _clique_features(g, nbrs)
     timings["clique"] = time.perf_counter() - t0
     deadline.check()
 
@@ -530,19 +508,7 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
         median_geodesic_distance=median_geo,
         std_geodesic_distance=std_geo,
         global_clustering_coefficient=clustering,
-        even_closed_walk_proportion=spec.even_closed_walk_proportion,
-        spectral_radius=spec.spectral_radius,
-        laplacian_spectral_radius=spec.laplacian_spectral_radius,
-        energy=spec.energy,
-        std_adjacency_eigenvalues=spec.std_adjacency_eigenvalues,
-        smallest_nonzero_laplacian=spec.smallest_nonzero_laplacian,
-        second_smallest_nonzero_laplacian=spec.second_smallest_nonzero_laplacian,
-        second_largest_laplacian=spec.second_largest_laplacian,
-        smallest_adjacency=spec.smallest_adjacency,
-        second_smallest_adjacency=spec.second_smallest_adjacency,
-        second_largest_adjacency=spec.second_largest_adjacency,
-        gap_largest_second_largest_adjacency=spec.gap_largest_second_largest_adjacency,
-        gap_largest_smallest_laplacian=spec.gap_largest_smallest_laplacian,
+        **asdict(spec),
         k_core_number=float(k_core),
         chromatic_minus_greedy_clique_gap=float(chrom_gap),
         timings=timings,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import glob
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_artifact_meta, read_table, write_table
-from .bench import PerformanceMatrix, read_journal, run_campaign
+from .bench import PerformanceMatrix, map_jobs, read_journal, run_campaign
 from .errors import (
     CampaignFailureError,
     CliquespaceError,
@@ -389,11 +388,7 @@ def _stage_features(config: PipelineConfig, meta: dict, log) -> None:
             log(f"features: skipping {instance_id}: {exc}")
             return instance_id, None
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            computed = list(pool.map(one, instances))
-    else:
-        computed = [one(item) for item in instances]
+    computed = map_jobs(one, instances, config.jobs)
     rows = [(iid, fv) for iid, fv in computed if fv is not None]
     if not rows:
         raise PipelineError("feature extraction produced no usable instance")
@@ -565,6 +560,7 @@ def _selector_inputs(
 
 
 def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
+    _check_same_config(config, "train")
     ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
     inputs, names = _selector_inputs(config, ids, Z)
     matrix = _aligned(_performance(config), ids)

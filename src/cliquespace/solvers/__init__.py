@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from ..errors import CliqueValidityError
@@ -52,20 +53,38 @@ def verify_clique(g: Graph, nodes) -> None:
             raise CliqueValidityError(f"claimed clique contains the non-edge ({u}, {v})")
 
 
+def finish(g: Graph, clique, start: float, solver_id: str, proven: bool, exhausted: bool = False):
+    """The result envelope of one builtin run: ``clique`` is sorted and
+    verified, and the wall time runs from ``start`` to after that check."""
+    clique = tuple(sorted(clique))
+    verify_clique(g, clique)
+    return SolveResult(
+        clique=clique,
+        clique_size=len(clique),
+        proven_optimal=proven,
+        wall_seconds=time.perf_counter() - start,
+        solver_id=solver_id,
+        budget_exhausted=exhausted,
+    )
+
+
 from .exact import solve_exact_bb  # noqa: E402
 from .heuristics import solve_greedy, solve_local_search  # noqa: E402
 from .ilp import export_ilp  # noqa: E402
 from .external import run_external  # noqa: E402
 
-BUILTIN_SOLVER_IDS = ("exact", "greedy", "fastwclq-like")
+# the builtin portfolio: solver id -> (graph, budget, seed) -> SolveResult
+_BUILTINS = {
+    "exact": lambda g, budget, seed: solve_exact_bb(g, budget=budget),
+    "greedy": lambda g, budget, seed: solve_greedy(g),
+    "fastwclq-like": lambda g, budget, seed: solve_local_search(g, budget=budget, seed=seed),
+}
+BUILTIN_SOLVER_IDS = tuple(_BUILTINS)
 
 
 def make_builtin(solver_id: str, seed: int = 0):
     """Uniform (graph, budget_seconds) -> SolveResult callable for one builtin."""
-    if solver_id == "exact":
-        return lambda g, budget: solve_exact_bb(g, budget=budget)
-    if solver_id == "greedy":
-        return lambda g, budget: solve_greedy(g, variant="max_degree", seed=seed)
-    if solver_id == "fastwclq-like":
-        return lambda g, budget: solve_local_search(g, budget=budget, seed=seed)
-    raise KeyError(f"unknown builtin solver {solver_id!r}")
+    if solver_id not in _BUILTINS:
+        raise KeyError(f"unknown builtin solver {solver_id!r}")
+    solve = _BUILTINS[solver_id]
+    return lambda g, budget: solve(g, budget, seed)

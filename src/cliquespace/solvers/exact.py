@@ -27,7 +27,7 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     is called with (sorted clique, elapsed seconds) every time the best
     clique improves, including the greedy warm start.
     """
-    from . import SolveResult, verify_clique
+    from . import finish
 
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -83,13 +83,4 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     except _BudgetExhausted:
         proven = False
 
-    clique = tuple(sorted(best))
-    verify_clique(g, clique)
-    return SolveResult(
-        clique=clique,
-        clique_size=len(clique),
-        proven_optimal=proven,
-        wall_seconds=time.perf_counter() - start,
-        solver_id="exact",
-        budget_exhausted=not proven,
-    )
+    return finish(g, best, start, "exact", proven, exhausted=not proven)

@@ -13,45 +13,36 @@ _GREEDY_VARIANTS = ("random_karp", "max_degree")
 def solve_greedy(g: Graph, variant: str = "max_degree", seed: int = 0, restarts: int = 1):
     """Sequential clique growth: pick a vertex, keep only its neighbors, repeat.
 
-    ``random_karp`` picks uniformly from the candidate set; ``max_degree``
-    picks the candidate with the most neighbors among the remaining
-    candidates (ties to the lowest id).  Best clique over ``restarts``
-    rounds; deterministic for a fixed seed.
+    ``max_degree`` is :func:`~cliquespace.graph.greedy_clique`, which picks
+    the candidate with the most neighbors among the remaining candidates
+    (ties to the lowest id); it is deterministic, so ``seed`` and
+    ``restarts`` do not change it.  ``random_karp`` picks uniformly from
+    the candidate set and keeps the best clique over ``restarts`` rounds;
+    deterministic for a fixed seed.
     """
-    from . import SolveResult, verify_clique
+    from . import finish
 
     if variant not in _GREEDY_VARIANTS:
         raise ValueError(f"variant must be one of {_GREEDY_VARIANTS}, got {variant!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     start = time.perf_counter()
-    rng = random.Random(seed)
-    adj = g.adj_bits
-    full = (1 << g.node_count) - 1
-
-    best: list[int] = []
-    for _ in range(restarts):
-        clique: list[int] = []
-        cand = full
-        while cand:
-            if variant == "random_karp":
+    if variant == "max_degree":
+        best = greedy_clique(g)
+    else:
+        rng = random.Random(seed)
+        adj = g.adj_bits
+        best = []
+        for _ in range(restarts):
+            clique: list[int] = []
+            cand = (1 << g.node_count) - 1
+            while cand:
                 v = rng.choice(list(iter_bits(cand)))
-            else:
-                v = most_connected(cand, adj)
-            clique.append(v)
-            cand &= adj[v]
-        if len(clique) > len(best):
-            best = clique
-
-    clique_t = tuple(sorted(best))
-    verify_clique(g, clique_t)
-    return SolveResult(
-        clique=clique_t,
-        clique_size=len(clique_t),
-        proven_optimal=len(clique_t) == g.node_count,
-        wall_seconds=time.perf_counter() - start,
-        solver_id="greedy",
-    )
+                clique.append(v)
+                cand &= adj[v]
+            if len(clique) > len(best):
+                best = clique
+    return finish(g, best, start, "greedy", proven=len(best) == g.node_count)
 
 
 def solve_local_search(
@@ -71,7 +62,7 @@ def solve_local_search(
     a random vertex and grow by best-of-``bms_samples`` candidate
     sampling.  Anytime within ``budget`` wall seconds.
     """
-    from . import SolveResult, verify_clique
+    from . import finish
 
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -136,13 +127,4 @@ def solve_local_search(
         if time.perf_counter() > deadline:
             break
 
-    clique_t = tuple(sorted(best))
-    verify_clique(g, clique_t)
-    return SolveResult(
-        clique=clique_t,
-        clique_size=len(clique_t),
-        proven_optimal=proven,
-        wall_seconds=time.perf_counter() - start,
-        solver_id="fastwclq-like",
-        budget_exhausted=not proven,
-    )
+    return finish(g, best, start, "fastwclq-like", proven, exhausted=not proven)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquespace import bench
 from cliquespace.bench import (
     DEFAULT_GOOD_TOLERANCE,
     PerformanceMatrix,
@@ -269,6 +270,19 @@ class TestRunCampaign:
         assert len(calls) == 3, "journal hit must prevent re-execution"
         assert len(records) == 3
         assert len(matrix.instance_ids) == 3
+
+    def test_every_new_record_is_fsynced(self, tmp_path, monkeypatch):
+        synced: list[int] = []
+        monkeypatch.setattr(bench.os, "fsync", synced.append)
+        journal = tmp_path / "runs.csv"
+        calls: list[int] = []
+        portfolio = [("a", stub_solver(5, 0.5, counter=calls)), ("b", stub_solver(4, 0.5))]
+        run_campaign(self.corpus(3), portfolio, budget=5.0, parallelism=2, journal=journal)
+        assert len(synced) == 6, "one fsync per appended record"
+        _, records = run_campaign(self.corpus(3), portfolio, budget=5.0, journal=journal)
+        assert len(calls) == 3, "a resumed campaign re-runs nothing"
+        assert len(synced) == 6
+        assert len(records) == 6
 
     def test_resume_after_torn_final_row(self, tmp_path):
         journal = tmp_path / "runs.csv"

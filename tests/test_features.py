@@ -338,6 +338,18 @@ class TestMcpSpecificFeatures:
         k_core, _ = mcp_specific_features(star7)
         assert k_core == 1
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chromatic_estimate_matches_networkx_largest_first(self, seed):
+        g = connected_gnp(30 + seed, 0.15 + 0.06 * seed, seed=900 + seed)
+        G = to_networkx(g)
+        coloring = nx.greedy_color(
+            G, strategy=lambda G, c: sorted(G, key=lambda v: (-G.degree(v), v))
+        )
+        colors = max(coloring.values()) + 1
+        _, gap = mcp_specific_features(g)
+        assert gap + len(greedy_clique(g)) == colors
+        assert compute_features(g).chromatic_minus_greedy_clique_gap == float(gap)
+
 
 class TestCsvRoundTrip:
     def test_write_read_identity(self, tmp_path, k3, c5, star7):

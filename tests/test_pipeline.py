@@ -385,6 +385,16 @@ def test_report_refuses_mixed_config_hashes(tmp_path):
         run_pipeline(config, ["report"])
 
 
+def test_train_refuses_mixed_config_hashes(tmp_path):
+    write_corpus(tmp_path / "corpus")
+    run_pipeline(load_config(write_config(tmp_path, budget=3.0)))
+    # a changed budget re-runs bench only; projections.csv keeps the old hash
+    changed = load_config(write_config(tmp_path, budget=4.0))
+    run_pipeline(changed, ["bench"])
+    with pytest.raises(PipelineError, match="mixed config hashes"):
+        run_pipeline(changed, ["train"])
+
+
 def test_all_runs_failing_is_a_campaign_failure(tmp_path):
     corpus = tmp_path / "corpus"
     write_corpus(corpus)
@@ -426,6 +436,10 @@ def test_parallel_bench_matches_serial(tmp_path):
         (r.instance_id, r.solver_id): r.clique_size for r in records_parallel
     }
     assert serial_sizes == parallel_sizes
+    ids_serial, X_serial, _ = read_features_csv(serial.artifact("features.csv"))
+    ids_parallel, X_parallel, _ = read_features_csv(parallel.artifact("features.csv"))
+    assert ids_serial == ids_parallel
+    assert np.array_equal(X_serial, X_parallel)
 
 
 # --------------------------------------------------------------------- cli

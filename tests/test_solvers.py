@@ -2,9 +2,11 @@ import shlex
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquespace.errors import CliqueValidityError, SolverOutputError, SolverSpawnError
-from cliquespace.graph import Graph, generate
+from cliquespace.graph import Graph, generate, greedy_clique
 from cliquespace.solvers import (
     BUILTIN_SOLVER_IDS,
     SolveResult,
@@ -128,6 +130,15 @@ class TestGreedySolver:
     def test_bad_restarts_rejected(self, k3):
         with pytest.raises(ValueError):
             solve_greedy(k3, restarts=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+def test_max_degree_greedy_is_the_shared_greedy_clique(n, p, seed):
+    g = generate("gnp", n, p=p, seed=seed)
+    assert solve_greedy(g).clique == tuple(greedy_clique(g))
+    cliques = {make_builtin("greedy", seed=s)(g, 1.0).clique for s in range(5)}
+    assert cliques == {tuple(greedy_clique(g))}
 
 
 class TestLocalSearch:

@@ -4,16 +4,23 @@ Every text artifact opens with one ``# key=value`` line per metadata key;
 the SVG report carries the same keys as ``<!-- key=value -->`` comments.
 Only that leading block is metadata: a later line starting with ``#``,
 such as the row of an instance whose file stem starts with ``#``, is data.
+The body is CSV for tables and one JSON object for model files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from pathlib import Path
 
+from .errors import ModelFormatError
+
 _SVG_META = re.compile(r"<!--\s*(\S+)=(\S+)\s*-->")
+_MODEL_VERSION = 2
+# the stage that writes each kind of model file
+_MODEL_STAGES = {"projection": "isa-fit", "selector": "train"}
 
 
 def _write_meta(fh, meta: dict[str, str] | None) -> None:
@@ -30,11 +37,13 @@ def write_table(path: str | Path, columns, rows, meta: dict[str, str] | None) ->
         writer.writerows(rows)
 
 
-def write_lines(path: str | Path, lines: list[str], meta: dict[str, str] | None) -> None:
-    """A line-oriented artifact: the metadata block, then ``lines``."""
+def write_model(path: str | Path, kind: str, body: dict, meta: dict[str, str] | None) -> None:
+    """A model file: the metadata block, then ``body`` as one JSON object
+    tagged with the ``kind``'s format name and the model version."""
+    model = {"format": f"cliquespace-{kind}-model", "version": _MODEL_VERSION, **body}
     with Path(path).open("w") as fh:
         _write_meta(fh, meta)
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(model) + "\n")
 
 
 def svg_meta_lines(meta: dict[str, str] | None) -> list[str]:
@@ -64,11 +73,27 @@ def read_artifact_meta(path: str | Path) -> dict[str, str]:
         return _split_meta(fh)[0]
 
 
-def read_lines(path: str | Path) -> tuple[dict[str, str], list[str]]:
-    """Metadata and the remaining lines of a line-oriented artifact."""
-    lines = Path(path).read_text().splitlines()
-    meta, count = _split_meta(lines)
-    return meta, lines[count:]
+def read_model(path: str | Path, kind: str) -> dict:
+    """The JSON object of a ``kind`` model file written by ``write_model``.
+
+    Raises ModelFormatError naming ``path`` when the body is not a JSON
+    object of the current version, or is a model of another kind.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+        model = json.loads("\n".join(lines[_split_meta(lines)[1] :]))
+        version = model["version"]
+        name = model["format"]
+    except (ValueError, TypeError, KeyError):
+        version = name = None
+    if version != _MODEL_VERSION:
+        raise ModelFormatError(
+            f"{path}: not a version-{_MODEL_VERSION} model file; delete it and re-run "
+            f"the {_MODEL_STAGES[kind]} stage to write it again"
+        )
+    if name != f"cliquespace-{kind}-model":
+        raise ModelFormatError(f"{path}: not a {kind} model file (format {name!r})")
+    return model
 
 
 def read_table(path: str | Path, columns, error, parse, text: str | None = None):

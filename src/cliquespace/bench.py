@@ -255,8 +255,11 @@ def run_campaign(
     instances are skipped with a log line.  ``portfolio`` holds
     (solver_id, callable(graph, budget) -> SolveResult) pairs.  Pairs
     already present in the journal are not re-executed, and each new
-    record is flushed and fsynced as it is appended.  A solver exception
-    becomes a failed record, not a crash of the campaign.
+    record is flushed and fsynced as it is appended.  A solver exception,
+    or a result no run can produce (a clique size outside
+    ``1..node_count``, a negative or non-finite wall time), becomes a
+    failed record with the measured wall time, not a crash of the
+    campaign.
     """
     if not corpus:
         raise ScoringError("corpus is empty")
@@ -297,7 +300,12 @@ def run_campaign(
         instance_id, solver_id, fn = task
         started = time.perf_counter()
         try:
-            result = fn(graphs[instance_id], budget)
+            graph = graphs[instance_id]
+            result = fn(graph, budget)
+            if not 1 <= result.clique_size <= graph.node_count:
+                raise ScoringError(f"impossible clique size {result.clique_size}")
+            if not 0.0 <= result.wall_seconds < math.inf:
+                raise ScoringError(f"impossible wall time {result.wall_seconds}")
             record = RunRecord(
                 instance_id=instance_id,
                 solver_id=solver_id,

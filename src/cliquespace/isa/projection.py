@@ -15,12 +15,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ..artifacts import read_lines, write_lines
+from ..artifacts import read_model, write_model
 from ..errors import ModelFormatError, ProjectionError
 from .normalize import NormalizationParams, apply_normalization, identity_normalization
 
-_MODEL_MAGIC = "cliquespace-projection-model"
-_MODEL_VERSION = 1
 _RANK_RTOL = 1e-10
 
 
@@ -140,72 +138,34 @@ def project_many(model: ProjectionModel, matrix: np.ndarray, feature_names) -> n
 def write_projection_model(
     model: ProjectionModel, path: str | Path, meta: dict | None = None
 ) -> None:
-    lines = [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"source {model.source}"]
-    lines.append(f"features {len(model.selected_features)}")
     norm = model.normalization
-    for i, name in enumerate(model.selected_features):
-        lines.append(
-            "feature {name} log={log} shift={shift:.17g} scale={scale:.17g}".format(
-                name=name,
-                log=int(norm.log_flags[i]),
-                shift=norm.shifts[i],
-                scale=norm.scales[i],
-            )
+    features = [
+        {"name": name, "log": bool(log), "shift": shift, "scale": scale}
+        for name, log, shift, scale in zip(
+            model.selected_features, norm.log_flags, norm.shifts, norm.scales
         )
-    lines.append("matrix")
-    for row in model.matrix:
-        lines.append(f"{row[0]:.17g} {row[1]:.17g}")
-    lines.append("end")
-    write_lines(path, lines, meta)
+    ]
+    body = {"source": model.source, "features": features, "matrix": model.matrix.tolist()}
+    write_model(path, "projection", body, meta)
 
 
 def read_projection_model(path: str | Path) -> ProjectionModel:
-    _, body = read_lines(path)
-    lines = [ln.strip() for ln in body if ln.strip()]
+    body = read_model(path, "projection")
     try:
-        header = lines[0].split()
-        if header[0] != _MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a projection model file")
-        if header[1] != f"v{_MODEL_VERSION}":
-            raise ModelFormatError(f"{path}: unsupported version {header[1]}")
-        source = lines[1].split()[1]
-        count = int(lines[2].split()[1])
-        names: list[str] = []
-        log_flags: list[bool] = []
-        shifts: list[float] = []
-        scales: list[float] = []
-        for ln in lines[3 : 3 + count]:
-            parts = ln.split()
-            if parts[0] != "feature":
-                raise ModelFormatError(f"{path}: expected feature line, got {ln!r}")
-            names.append(parts[1])
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            log_flags.append(fields["log"] == "1")
-            shifts.append(float(fields["shift"]))
-            scales.append(float(fields["scale"]))
-        cursor = 3 + count
-        if lines[cursor] != "matrix":
-            raise ModelFormatError(f"{path}: missing matrix section")
-        rows = [
-            [float(tok) for tok in ln.split()]
-            for ln in lines[cursor + 1 : cursor + 1 + count]
-        ]
-        if lines[cursor + 1 + count] != "end":
-            raise ModelFormatError(f"{path}: missing end marker")
-    except ModelFormatError:
-        raise
-    except (IndexError, ValueError, KeyError) as exc:
-        raise ModelFormatError(f"{path}: malformed projection model ({exc})") from exc
-    normalization = NormalizationParams(
-        feature_names=tuple(names),
-        log_flags=tuple(log_flags),
-        shifts=tuple(shifts),
-        scales=tuple(scales),
-        dropped=(),
-    )
-    return ProjectionModel(
-        selected_features=tuple(names),
-        matrix=np.array(rows),
-        normalization=normalization,
-        source=source,
-    )
+        features = body["features"]
+        names = tuple(f["name"] for f in features)
+        normalization = NormalizationParams(
+            feature_names=names,
+            log_flags=tuple(bool(f["log"]) for f in features),
+            shifts=tuple(float(f["shift"]) for f in features),
+            scales=tuple(float(f["scale"]) for f in features),
+            dropped=(),
+        )
+        return ProjectionModel(
+            selected_features=names,
+            matrix=np.array(body["matrix"], dtype=float),
+            normalization=normalization,
+            source=body["source"],
+        )
+    except (KeyError, TypeError, ValueError, ProjectionError) as exc:
+        raise ModelFormatError(f"{path}: malformed projection model ({exc!r})") from exc

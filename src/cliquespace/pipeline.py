@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -116,14 +117,14 @@ class PipelineConfig:
                 raise ConfigError(
                     f"portfolio.{solver_id}: value must be 'builtin' or 'external <command>'"
                 )
-        if self.solver_budget <= 0:
-            raise ConfigError("run.solver_budget: must be positive")
-        if self.feature_budget <= 0:
-            raise ConfigError("run.feature_budget: must be positive")
+        if not 0 < self.solver_budget < math.inf:
+            raise ConfigError("run.solver_budget: must be positive and finite")
+        if not 0 < self.feature_budget < math.inf:
+            raise ConfigError("run.feature_budget: must be positive and finite")
         if not 0.0 <= self.correlation_threshold < 1.0:
             raise ConfigError("thresholds.correlation: must lie in [0, 1)")
-        if self.good_tolerance < 0.0:
-            raise ConfigError("thresholds.good_tolerance: must be non-negative")
+        if not 0.0 <= self.good_tolerance < math.inf:
+            raise ConfigError("thresholds.good_tolerance: must be non-negative and finite")
         if self.selector_input not in ("z", "features"):
             raise ConfigError("selector.input: must be 'z' or 'features'")
         if self.jobs < 1:

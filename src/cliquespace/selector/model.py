@@ -17,16 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..artifacts import read_lines, write_lines
+from ..artifacts import read_model, write_model
 from ..errors import ModelFormatError, SelectorError
 from .svm import SvmClassifier, balanced_weights, train_svm
 
 DEFAULT_GRID = tuple(
     (c, g) for c in (0.1, 1.0, 10.0, 100.0) for g in (0.01, 0.1, 1.0)
 )
-
-_MODEL_MAGIC = "cliquespace-selector-model"
-_MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -243,100 +240,62 @@ def evaluate_topk(
     )
 
 
+def _classifier_body(solver_id: str, clf) -> dict:
+    if isinstance(clf, PriorClassifier):
+        return {"id": solver_id, "kind": "prior", "rate": clf.rate}
+    return {
+        "id": solver_id,
+        "kind": "svm",
+        "C": clf.hyper_c,
+        "gamma": clf.gamma,
+        "bias": clf.bias,
+        "dual_coef": clf.dual_coef.tolist(),
+        "support_vectors": clf.support_vectors.tolist(),
+    }
+
+
+def _classifier_from_body(spec: dict, n_features: int):
+    if spec["kind"] == "prior":
+        return PriorClassifier(rate=float(spec["rate"]))
+    if spec["kind"] != "svm":
+        raise ValueError(f"unknown classifier kind {spec['kind']!r}")
+    rows = spec["support_vectors"]
+    if any(len(row) != n_features for row in rows):
+        raise ValueError(f"{spec['id']}: a support vector does not have {n_features} values")
+    return SvmClassifier(
+        support_vectors=np.array(rows, dtype=float).reshape(len(rows), n_features),
+        dual_coef=np.array(spec["dual_coef"], dtype=float).reshape(len(rows)),
+        bias=float(spec["bias"]),
+        gamma=float(spec["gamma"]),
+        hyper_c=float(spec["C"]),
+    )
+
+
 def write_selector_model(
     model: SelectorModel, path: str | Path, file_meta: dict | None = None
 ) -> None:
-    lines = [f"{_MODEL_MAGIC} v{_MODEL_VERSION}", f"input_space {model.input_space}"]
-    for key in sorted(model.metadata):
-        lines.append(f"meta {key}={model.metadata[key]}")
-    lines.append(f"features {len(model.feature_names)}")
-    lines.extend(f"feature {name}" for name in model.feature_names)
-    lines.append(f"solvers {len(model.solver_ids)}")
-    for solver_id in model.solver_ids:
-        clf = model.classifiers[solver_id]
-        if isinstance(clf, PriorClassifier):
-            lines.append(f"solver {solver_id} prior rate={clf.rate:.17g}")
-            continue
-        lines.append(
-            "solver {sid} svm C={c:.17g} gamma={g:.17g} bias={b:.17g} supports={m}".format(
-                sid=solver_id,
-                c=clf.hyper_c,
-                g=clf.gamma,
-                b=clf.bias,
-                m=clf.support_vectors.shape[0],
-            )
-        )
-        for coef, row in zip(clf.dual_coef, clf.support_vectors):
-            tokens = [f"{coef:.17g}"] + [f"{v:.17g}" for v in row]
-            lines.append("sv " + " ".join(tokens))
-    lines.append("end")
-    write_lines(path, lines, file_meta)
+    body = {
+        "input_space": model.input_space,
+        "metadata": {key: str(model.metadata[key]) for key in sorted(model.metadata)},
+        "features": list(model.feature_names),
+        "solvers": [_classifier_body(s, model.classifiers[s]) for s in model.solver_ids],
+    }
+    write_model(path, "selector", body, file_meta)
 
 
 def read_selector_model(path: str | Path) -> SelectorModel:
-    _, body = read_lines(path)
-    lines = [ln for ln in body if ln.strip()]
+    body = read_model(path, "selector")
     try:
-        header = lines[0].split()
-        if header[0] != _MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a selector model file")
-        if header[1] != f"v{_MODEL_VERSION}":
-            raise ModelFormatError(f"{path}: unsupported version {header[1]}")
-        input_space = lines[1].split()[1]
-        cursor = 2
-        metadata: dict = {}
-        while lines[cursor].startswith("meta "):
-            key, value = lines[cursor][5:].split("=", 1)
-            metadata[key] = value
-            cursor += 1
-        n_features = int(lines[cursor].split()[1])
-        cursor += 1
-        feature_names = []
-        for _ in range(n_features):
-            feature_names.append(lines[cursor].split(None, 1)[1])
-            cursor += 1
-        n_solvers = int(lines[cursor].split()[1])
-        cursor += 1
-        solver_ids = []
-        classifiers: dict = {}
-        for _ in range(n_solvers):
-            parts = lines[cursor].split()
-            cursor += 1
-            solver_id, kind = parts[1], parts[2]
-            fields = dict(p.split("=", 1) for p in parts[3:])
-            solver_ids.append(solver_id)
-            if kind == "prior":
-                classifiers[solver_id] = PriorClassifier(rate=float(fields["rate"]))
-                continue
-            if kind != "svm":
-                raise ModelFormatError(f"{path}: unknown classifier kind {kind!r}")
-            m = int(fields["supports"])
-            coefs = np.empty(m)
-            vecs = np.empty((m, n_features))
-            for r in range(m):
-                tokens = lines[cursor].split()
-                cursor += 1
-                if tokens[0] != "sv":
-                    raise ModelFormatError(f"{path}: expected sv line")
-                coefs[r] = float(tokens[1])
-                vecs[r] = [float(t) for t in tokens[2:]]
-            classifiers[solver_id] = SvmClassifier(
-                support_vectors=vecs,
-                dual_coef=coefs,
-                bias=float(fields["bias"]),
-                gamma=float(fields["gamma"]),
-                hyper_c=float(fields["C"]),
-            )
-        if lines[cursor] != "end":
-            raise ModelFormatError(f"{path}: missing end marker")
-    except ModelFormatError:
-        raise
-    except (IndexError, ValueError, KeyError) as exc:
-        raise ModelFormatError(f"{path}: malformed selector model ({exc})") from exc
-    return SelectorModel(
-        input_space=input_space,
-        feature_names=tuple(feature_names),
-        solver_ids=tuple(solver_ids),
-        classifiers=classifiers,
-        metadata=metadata,
-    )
+        feature_names = tuple(body["features"])
+        solvers = body["solvers"]
+        return SelectorModel(
+            input_space=body["input_space"],
+            feature_names=feature_names,
+            solver_ids=tuple(spec["id"] for spec in solvers),
+            classifiers={
+                spec["id"]: _classifier_from_body(spec, len(feature_names)) for spec in solvers
+            },
+            metadata=dict(body["metadata"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed selector model ({exc!r})") from exc

@@ -1,4 +1,6 @@
 import math
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +314,54 @@ class TestRunCampaign:
         assert failed[0].status == "failed"
         assert math.isinf(matrix.y_of("g0", "boom"))
         assert matrix.y_of("g0", "ok") == 1.0
+
+    @pytest.mark.parametrize(
+        "size, seconds",
+        [(0, 0.5), ("n+1", 0.5), (5, -1.0), (5, math.inf), (5, math.nan)],
+        ids=["size-0", "size-n+1", "wall-negative", "wall-inf", "wall-nan"],
+    )
+    def test_impossible_result_recorded_as_failed_run(self, tmp_path, size, seconds):
+        corpus = self.corpus(1)
+        if size == "n+1":
+            size = corpus[0][1].node_count + 1
+        journal = tmp_path / "runs.csv"
+        calls: list[int] = []
+        portfolio = [
+            ("ok", stub_solver(5, 0.5)),
+            ("odd", stub_solver(size, seconds, counter=calls)),
+        ]
+        lines: list[str] = []
+        matrix, records = run_campaign(
+            corpus, portfolio, budget=5.0, journal=journal, log=lines.append
+        )
+        odd = next(r for r in records if r.solver_id == "odd")
+        assert odd.status == "failed"
+        assert 0.0 <= odd.wall_seconds < math.inf  # measured, not the reported time
+        assert any("odd failed on g0" in ln for ln in lines)
+        assert not np.isnan(matrix.y).any()
+        assert math.isinf(matrix.y_of("g0", "odd"))
+        assert matrix.best_solver == ("ok",)
+        resumed, _ = run_campaign(corpus, portfolio, budget=5.0, journal=journal)
+        assert len(calls) == 1, "the journaled failure is not re-run"
+        assert resumed == matrix
+
+    def test_external_killed_before_any_clique_is_a_failed_run(self, tmp_path, k5):
+        from cliquespace.solvers import make_builtin, run_external
+
+        command = f"{sys.executable} -c {shlex.quote('import time; time.sleep(5)')} {{instance}}"
+        portfolio = [
+            ("exact", make_builtin("exact")),
+            ("sleepy", lambda g, budget: run_external(command, g, budget)),
+        ]
+        journal = tmp_path / "runs.csv"
+        matrix, records = run_campaign([("k5", k5)], portfolio, budget=0.5, journal=journal)
+        status = {r.solver_id: r.status for r in records}
+        assert status == {"exact": "ok", "sleepy": "failed"}
+        assert matrix.best_solver == ("exact",)
+        rows = journal.read_bytes()
+        resumed, _ = run_campaign([("k5", k5)], portfolio, budget=0.5, journal=journal)
+        assert journal.read_bytes() == rows, "nothing runs again on resume"
+        assert resumed == matrix
 
     def test_unloadable_instance_skipped_with_log(self, tmp_path):
         bad = tmp_path / "broken.clq"

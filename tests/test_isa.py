@@ -1,5 +1,8 @@
 """Normalization, feature selection, projection, and footprint geometry."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -33,6 +36,7 @@ from cliquespace.isa import (
     sifted_select,
     write_projection_model,
 )
+from cliquespace.selector import train, write_selector_model
 
 from oracles import point_in_polygon_bruteforce
 
@@ -402,6 +406,68 @@ def test_projection_model_file_rejects_garbage(tmp_path):
     path.write_text("\n".join(truncated) + "\n")
     with pytest.raises(ModelFormatError):
         read_projection_model(path)
+
+
+V1_PROJECTION = """\
+# tool=cliquespace/0.1.0
+cliquespace-projection-model v1
+source loaded_external
+features 2
+feature u log=0 shift=0 scale=1
+feature v log=0 shift=0 scale=1
+matrix
+1 0
+0 1
+end
+"""
+
+
+def test_projection_v1_text_file_asks_for_refitting(tmp_path):
+    path = tmp_path / "projection.isa"
+    path.write_text(V1_PROJECTION)
+    with pytest.raises(ModelFormatError) as info:
+        read_projection_model(path)
+    assert str(path) in str(info.value)
+    assert "delete it" in str(info.value) and "isa-fit" in str(info.value)
+
+
+def test_projection_file_rejects_a_bad_matrix(tmp_path):
+    path = tmp_path / "projection.isa"
+    write_projection_model(load_external_matrix(np.eye(2), ("u", "v")), path)
+    good_body = json.loads(path.read_text())
+    bad_matrices = (
+        [[1.0, 0.0]],  # one row for two features
+        [[1.0, 0.0], [0.0]],  # ragged
+        [[1.0, 0.0], [0.0, 0.0]],  # an all-zero column
+        [[1.0, float("nan")], [0.0, 1.0]],
+        "eye",
+    )
+    for matrix in bad_matrices:
+        path.write_text(json.dumps({**good_body, "matrix": matrix}) + "\n")
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            read_projection_model(path)
+
+
+def test_selector_file_is_not_a_projection(tmp_path):
+    rng = np.random.default_rng(67)
+    X = np.vstack([rng.normal(-3.0, 0.4, (20, 2)), rng.normal(3.0, 0.4, (20, 2))])
+    good = np.repeat(np.eye(2, dtype=bool), 20, axis=0)
+    path = tmp_path / "selector.isa"
+    write_selector_model(train(X, good, ["left", "right"], ["z1", "z2"]), path)
+    with pytest.raises(ModelFormatError, match="not a projection model"):
+        read_projection_model(path)
+
+
+def test_projection_file_bytes_survive_a_read_write_cycle(tmp_path):
+    rng = np.random.default_rng(71)
+    data = rng.lognormal(sigma=2.0, size=(40, 3))
+    names = ["a", "b", "c"]
+    params = fit_normalization(data, names)
+    model = fit_projection(apply_normalization(params, data, names), names, params)
+    first, second = tmp_path / "first.isa", tmp_path / "second.isa"
+    write_projection_model(model, first, {"tool": "t", "config": "c"})
+    write_projection_model(read_projection_model(first), second, {"tool": "t", "config": "c"})
+    assert first.read_bytes() == second.read_bytes()
 
 
 # -------------------------------------------------------------- geometry

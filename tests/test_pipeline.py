@@ -161,6 +161,23 @@ def test_config_validation_names_the_field(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("run", "solver_budget", "nan"),  # would switch off every solver deadline
+        ("run", "feature_budget", "inf"),  # would switch off every feature deadline
+        ("thresholds", "good_tolerance", "nan"),  # would label no solver good
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, section, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        f"[corpus]\npaths = x/*.clq\n[portfolio]\nexact = builtin\n[{section}]\n{key} = {value}\n"
+    )
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(bad)
+
+
 def test_config_hash_ignores_output_and_jobs(tmp_path):
     config = load_config(write_config(tmp_path))
     assert config_hash(replace(config, output_dir=Path("/elsewhere"))) == config_hash(

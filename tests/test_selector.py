@@ -1,9 +1,13 @@
 """Per-solver classifier training, ranking prediction, and top-k scoring."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from cliquespace.errors import ModelFormatError, SelectorError
+from cliquespace.isa import load_external_matrix, write_projection_model
 from cliquespace.selector import (
     DEFAULT_GRID,
     PriorClassifier,
@@ -287,6 +291,71 @@ def test_selector_model_file_rejects_garbage(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")  # drop sv rows and end marker
     with pytest.raises(ModelFormatError):
         read_selector_model(path)
+
+
+V1_SELECTOR = """\
+# tool=cliquespace/0.1.0
+cliquespace-selector-model v1
+input_space z
+features 2
+feature z1
+feature z2
+solvers 1
+solver left prior rate=0.5
+end
+"""
+
+
+def test_selector_v1_text_file_asks_for_retraining(tmp_path):
+    path = tmp_path / "selector.isa"
+    path.write_text(V1_SELECTOR)
+    with pytest.raises(ModelFormatError) as info:
+        read_selector_model(path)
+    assert str(path) in str(info.value)
+    assert "delete it" in str(info.value) and "train" in str(info.value)
+
+
+def test_selector_file_rejects_misshapen_classifiers(tmp_path):
+    X, good, _ = two_blobs(seed=59)
+    model = train(X, good, ["left", "right"], ["z1", "z2"], seed=0)
+    path = tmp_path / "selector.isa"
+    write_selector_model(model, path)
+    good_body = json.loads(path.read_text())
+    assert good_body["solvers"][0]["kind"] == "svm"
+
+    def edited(edit):
+        body = json.loads(json.dumps(good_body))
+        edit(body["solvers"][0])
+        path.write_text(json.dumps(body) + "\n")
+        return path
+
+    for edit in (
+        lambda clf: clf["support_vectors"][0].pop(),  # a row with too few values
+        lambda clf: clf["support_vectors"][1].append(0.0),  # a row with too many
+        lambda clf: clf["dual_coef"].pop(),  # one coefficient short
+        lambda clf: clf.update(kind="tree"),
+        lambda clf: clf.pop("bias"),
+        lambda clf: clf.update(gamma="wide"),
+    ):
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            read_selector_model(edited(edit))
+
+
+def test_projection_file_is_not_a_selector(tmp_path):
+    path = tmp_path / "projection.isa"
+    write_projection_model(load_external_matrix(np.eye(2), ("z1", "z2")), path)
+    with pytest.raises(ModelFormatError, match="not a selector model"):
+        read_selector_model(path)
+
+
+def test_selector_file_bytes_survive_a_read_write_cycle(tmp_path):
+    X, good, _ = two_blobs(seed=61)
+    good = np.column_stack([good, np.zeros(40, dtype=bool)])  # "rare" gets a prior
+    model = train(X, good, ["left", "right", "rare"], ["z1", "z2"], seed=5)
+    first, second = tmp_path / "first.isa", tmp_path / "second.isa"
+    write_selector_model(model, first, {"tool": "t", "config": "c"})
+    write_selector_model(read_selector_model(first), second, {"tool": "t", "config": "c"})
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_default_grid_contents():

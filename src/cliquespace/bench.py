@@ -263,8 +263,8 @@ def run_campaign(
     """
     if not corpus:
         raise ScoringError("corpus is empty")
-    if budget <= 0:
-        raise ScoringError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ScoringError(f"budget must be positive and finite, got {budget!r}")
     solver_ids = [s for s, _ in portfolio]
     if len(set(solver_ids)) != len(solver_ids):
         raise ScoringError("duplicate solver ids in portfolio")

@@ -3,15 +3,14 @@
 A campaign is described by an INI config (corpus globs, portfolio,
 budgets, thresholds, output directory, seed).  Each stage reads its
 predecessors' artifacts from the output directory and writes its own.
-The stage table (``_STAGES``) is the one list of the files each stage
-reads: the corpus files for ``ingest``, artifacts for the others.  The
-runner hashes those files once per stage and hands the stage its
-metadata: the tool version, a hash of the semantic config fields, and
-that inputs hash, which every artifact embeds (see ``artifacts``).  A
-stage whose outputs already carry the current metadata is skipped, which
-makes re-runs of an unchanged campaign close to free; the benchmarking
-stage additionally resumes from its journal, so even a forced re-run
-never repeats a completed solver execution.
+The stage table (``_STAGES``) is the one list of the files and config
+fields each stage reads; the files are the corpus for ``ingest`` and
+artifacts for the others.  Every artifact embeds the tool version, a
+hash of the whole semantic config (provenance only) and an inputs hash
+of the stage's own fields and files (see ``artifacts``).  A stage whose
+outputs carry the current tool and inputs hash is skipped, so a config
+edit re-runs only the stages that read the key and those after them; the
+benchmarking stage also resumes from its journal.
 """
 
 from __future__ import annotations
@@ -25,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import read_artifact_meta, read_table, write_table
+from .artifacts import read_artifact_meta, read_model, read_table, write_table
 from .bench import PerformanceMatrix, map_jobs, read_journal, run_campaign
 from .errors import (
     CampaignFailureError,
     CliquespaceError,
     ConfigError,
+    ModelFormatError,
     PipelineError,
 )
 from .features import (
@@ -192,28 +192,11 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ------------------------------------------------------------ hash plumbing
 
 
-def config_hash(config: PipelineConfig) -> str:
-    """Hash of the semantic fields only.
-
-    The output directory and the parallelism level deliberately do not
-    contribute: moving the artifacts or changing --jobs must not
-    invalidate completed work.
-    """
-    parts = [
-        "corpus=" + "|".join(config.corpus),
-        "portfolio=" + "|".join(f"{sid}:{spec}" for sid, spec in config.portfolio),
-        f"solver_budget={config.solver_budget!r}",
-        f"feature_budget={config.feature_budget!r}",
-        f"correlation_threshold={config.correlation_threshold!r}",
-        f"good_tolerance={config.good_tolerance!r}",
-        f"selector_input={config.selector_input}",
-        f"seed={config.seed}",
-    ]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
-
-
-def _files_hash(paths) -> str:
+def _digest(config: PipelineConfig, fields, paths=()) -> str:
+    """Hash of the ``fields`` of ``config``, then of each file's name and bytes."""
     h = hashlib.sha256()
+    for name in fields:
+        h.update(f"{name}={getattr(config, name)!r}\n".encode())
     for p in sorted(paths, key=lambda p: p.name):
         h.update(p.name.encode())
         h.update(b"\0")
@@ -221,12 +204,11 @@ def _files_hash(paths) -> str:
     return h.hexdigest()[:12]
 
 
-def artifact_meta(config: PipelineConfig, inputs_hash: str) -> dict[str, str]:
-    return {
-        "tool": TOOL_VERSION,
-        "config": config_hash(config),
-        "inputs": inputs_hash,
-    }
+def config_hash(config: PipelineConfig) -> str:
+    """Hash of every field some stage reads.  The output and base directories
+    and the job count are not among them: moving the artifacts or changing
+    --jobs must not invalidate completed work."""
+    return _digest(config, dict.fromkeys(f for s in _STAGES.values() for f in s.fields))
 
 
 # -------------------------------------------------------------- corpus I/O
@@ -415,7 +397,7 @@ def _portfolio_callables(config: PipelineConfig):
 def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
     instances = _usable_instances(config)
     journal = config.artifact("runs.csv")
-    if journal.exists() and not _meta_matches(read_artifact_meta(journal), meta):
+    if journal.exists() and not _fresh(read_artifact_meta(journal), meta):
         log("bench: configuration changed; discarding stale journal")
         journal.unlink()
     matrix, records = run_campaign(
@@ -436,17 +418,10 @@ def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
 
 
 def _bench_complete(config: PipelineConfig) -> bool:
-    try:
-        instances = _usable_instances(config)
-        records, _ = read_journal(config.artifact("runs.csv"))
-    except Exception:
-        return False
-    have = {(r.instance_id, r.solver_id) for r in records}
-    return all(
-        (iid, sid) in have
-        for iid, _ in instances
-        for sid, _ in config.portfolio
-    )
+    """Every usable instance has a journaled run of every solver."""
+    records, _ = read_journal(config.artifact("runs.csv"))
+    want = {(iid, sid) for iid, _ in _usable_instances(config) for sid, _ in config.portfolio}
+    return want <= {(r.instance_id, r.solver_id) for r in records}
 
 
 def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
@@ -538,7 +513,6 @@ def _footprint_rows(config: PipelineConfig, ids: list[str], Z: np.ndarray):
 
 
 def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
-    _check_same_config(config, "isa-footprint")
     ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
     rows, boundary = _footprint_rows(config, ids, Z)
     write_table(
@@ -561,7 +535,6 @@ def _selector_inputs(
 
 
 def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
-    _check_same_config(config, "train")
     ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
     inputs, names = _selector_inputs(config, ids, Z)
     matrix = _aligned(_performance(config), ids)
@@ -581,25 +554,9 @@ def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
     )
 
 
-def _check_same_config(config: PipelineConfig, stage: str) -> None:
-    """Refuse to aggregate artifacts produced under different configs."""
-    want = config_hash(config)
-    seen = {
-        p.name: read_artifact_meta(p).get("config", "missing")
-        for p in _STAGES[stage].inputs(config)
-    }
-    if any(got != want for got in seen.values()):
-        detail = ", ".join(f"{n}={h}" for n, h in sorted(seen.items()))
-        raise PipelineError(
-            f"mixed config hashes (current {want}): {detail}; "
-            "re-run the earlier stages"
-        )
-
-
 def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
     from .report import render_scatter
 
-    _check_same_config(config, "report")
     ids, Z, best, _ = read_projections(config.artifact("projections.csv"))
     rows, boundary = _footprint_rows(config, ids, Z)
     model = read_selector_model(config.artifact("selector.isa"))
@@ -641,32 +598,42 @@ class _Stage:
     run: object  # callable(config, meta, log)
     inputs: object  # callable(config) -> paths of every file the stage reads
     outputs: tuple[str, ...]  # artifact names the stage writes
-    complete: object = None  # extra callable(config) -> bool for skip checks
+    fields: tuple[str, ...] = ()  # the PipelineConfig fields the stage reads
+    complete: object = None  # callable(config), false when the output bodies are unusable
 
 
-def _reads(*names: str, selector_space: bool = False):
-    """Stage inputs: the named artifacts, plus features.csv when
-    ``selector_space`` is set and the selector trains on raw features."""
-
-    def inputs(config: PipelineConfig) -> list[Path]:
-        extra = ("features.csv",) if config.selector_input == "features" else ()
-        return [config.artifact(n) for n in names + (extra if selector_space else ())]
-
-    return inputs
+def _reads(*names: str):
+    return lambda config: [config.artifact(n) for n in names]
 
 
 _STAGES = {
     s.name: s
     for s in (
-        _Stage("ingest", _stage_ingest, resolve_corpus, ("corpus.csv",)),
-        _Stage("features", _stage_features, _reads("corpus.csv"), ("features.csv",)),
-        _Stage("bench", _stage_bench, _reads("corpus.csv"), ("runs.csv",), _bench_complete),
+        _Stage("ingest", _stage_ingest, resolve_corpus, ("corpus.csv",), ("corpus",)),
+        _Stage(
+            "features",
+            _stage_features,
+            _reads("corpus.csv"),
+            ("features.csv",),
+            ("feature_budget",),
+        ),
+        _Stage(
+            "bench",
+            _stage_bench,
+            _reads("corpus.csv"),
+            ("runs.csv",),
+            ("portfolio", "solver_budget", "seed"),
+            _bench_complete,
+        ),
         _Stage(
             "isa-fit",
             _stage_isa_fit,
             _reads("features.csv", "runs.csv"),
             ("sifted.csv", "projection.isa"),
+            ("correlation_threshold",),
+            lambda config: read_model(config.artifact("projection.isa"), "projection"),
         ),
+        # no fields: best_solver is an argmin of the scores, whatever the tolerance
         _Stage(
             "isa-project",
             _stage_isa_project,
@@ -678,18 +645,22 @@ _STAGES = {
             _stage_isa_footprint,
             _reads("projections.csv", "runs.csv"),
             ("footprints.csv",),
+            ("good_tolerance",),
         ),
         _Stage(
             "train",
             _stage_train,
-            _reads("projections.csv", "runs.csv", selector_space=True),
+            _reads("projections.csv", "runs.csv", "features.csv"),
             ("selector.isa",),
+            ("good_tolerance", "selector_input", "seed"),
+            lambda config: read_model(config.artifact("selector.isa"), "selector"),
         ),
         _Stage(
             "report",
             _stage_report,
-            _reads("projections.csv", "runs.csv", "selector.isa", selector_space=True),
+            _reads("projections.csv", "runs.csv", "selector.isa", "features.csv"),
             ("report.csv", "scatter.svg"),
+            ("good_tolerance", "selector_input"),
         ),
     )
 }
@@ -697,18 +668,35 @@ STAGE_ORDER = tuple(_STAGES)
 _PRODUCER = {out: s.name for s in _STAGES.values() for out in s.outputs}
 
 
-def _meta_matches(got: dict, want: dict) -> bool:
-    return all(got.get(key) == value for key, value in want.items())
+def _stage_meta(config: PipelineConfig, stage: _Stage) -> dict[str, str]:
+    inputs = _digest(config, stage.fields, stage.inputs(config))
+    return {"tool": TOOL_VERSION, "config": config_hash(config), "inputs": inputs}
 
 
-def _up_to_date(config: PipelineConfig, stage: _Stage, meta: dict) -> bool:
+def _fresh(got: dict, want: dict) -> bool:
+    """The header test: same tool and inputs hash; ``config`` is provenance only."""
+    return got.get("tool") == want["tool"] and got.get("inputs") == want["inputs"]
+
+
+def _current(config: PipelineConfig, stage: _Stage, meta: dict) -> bool:
     for name in stage.outputs:
         out = config.artifact(name)
-        if not out.exists() or not _meta_matches(read_artifact_meta(out), meta):
+        if not out.exists() or not _fresh(read_artifact_meta(out), meta):
             return False
-    if stage.complete is not None and not stage.complete(config):
+    try:
+        return stage.complete is None or bool(stage.complete(config))
+    except ModelFormatError:  # such as a model file from before version 2
         return False
-    return True
+
+
+def _upstream(config: PipelineConfig, name: str) -> list[str]:
+    """The stages whose outputs ``name`` reads, directly or through others."""
+    before = STAGE_ORDER[: STAGE_ORDER.index(name)]
+    needed = {name}
+    for stage in reversed(before + (name,)):
+        if stage in needed:
+            needed.update(_PRODUCER.get(p.name) for p in _STAGES[stage].inputs(config))
+    return [s for s in before if s in needed]
 
 
 def run_pipeline(
@@ -716,9 +704,9 @@ def run_pipeline(
 ) -> list[tuple[str, str]]:
     """Run the requested stages in canonical order; returns (stage, status).
 
-    Status is "ran" or "skipped" (outputs already up to date).  Raises
-    :class:`PipelineError` when a stage's prerequisite artifact is
-    missing, naming the stage that produces it.
+    Status is "ran", or "skipped" when the outputs are current and no
+    stage they read from ran in this call.  Raises :class:`PipelineError`
+    naming any stage upstream of a requested one that is not current.
     """
     config.validate()
     emit = log or (lambda msg: None)
@@ -733,21 +721,26 @@ def run_pipeline(
         requested = [s for s in STAGE_ORDER if s in set(stages)]
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
-    statuses: list[tuple[str, str]] = []
+    statuses: dict[str, str] = {}
     for name in requested:
+        upstream = _upstream(config, name)
+        # a stage this call ran or skipped is current and needs no second check
+        for up in (_STAGES[s] for s in upstream if s not in statuses):
+            if not _current(config, up, _stage_meta(config, up)):
+                missing = [o for o in up.outputs if not config.artifact(o).exists()]
+                raise PipelineError(
+                    f"stage '{name}' requires {missing[0]}, produced by stage "
+                    f"'{up.name}'; run it first"
+                    if missing
+                    else f"mixed config hashes: the outputs of stage '{up.name}' do not "
+                    f"match the current config and inputs; re-run it before '{name}'"
+                )
         stage = _STAGES[name]
-        inputs = stage.inputs(config)
-        missing = [p for p in inputs if not p.exists()]
-        if missing:
-            raise PipelineError(
-                f"stage '{name}' requires {missing[0].name}, produced by "
-                f"stage '{_PRODUCER[missing[0].name]}'; run it first"
-            )
-        meta = artifact_meta(config, _files_hash(inputs))
-        if _up_to_date(config, stage, meta):
+        meta = _stage_meta(config, stage)
+        if "ran" not in {statuses.get(s) for s in upstream} and _current(config, stage, meta):
             emit(f"{name}: up to date, skipped")
-            statuses.append((name, "skipped"))
+            statuses[name] = "skipped"
             continue
         stage.run(config, meta, emit)
-        statuses.append((name, "ran"))
-    return statuses
+        statuses[name] = "ran"
+    return list(statuses.items())

@@ -11,6 +11,7 @@ with ``proven_optimal`` false.
 
 from __future__ import annotations
 
+import math
 import time
 
 from ..graph import Graph, greedy_clique
@@ -23,14 +24,15 @@ class _BudgetExhausted(Exception):
 def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     """Maximum clique by coloring-bounded branch and bound.
 
-    ``budget`` is wall seconds (None means unlimited).  ``on_incumbent``
-    is called with (sorted clique, elapsed seconds) every time the best
-    clique improves, including the greedy warm start.
+    ``budget`` is wall seconds, positive and finite (None means
+    unlimited).  ``on_incumbent`` is called with (sorted clique, elapsed
+    seconds) every time the best clique improves, including the greedy
+    warm start.
     """
     from . import finish
 
-    if budget is not None and budget <= 0:
-        raise ValueError("budget must be positive")
+    if budget is not None and not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
     start = time.perf_counter()
     deadline = None if budget is None else start + budget
     adj = g.adj_bits

@@ -25,6 +25,7 @@ reported.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 import subprocess
@@ -81,8 +82,8 @@ def run_external(
         raise ValueError("command template must contain the {instance} placeholder")
     if parser not in PARSERS:
         raise ValueError(f"parser must be one of {PARSERS}, got {parser!r}")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
     with tempfile.TemporaryDirectory(prefix="cliquespace-ext-") as tmp:
         instance_path = Path(tmp) / f"{g.name or 'instance'}.clq"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -64,8 +65,8 @@ def solve_local_search(
     """
     from . import finish
 
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
     start = time.perf_counter()
     deadline = start + budget
     rng = random.Random(seed)

@@ -413,3 +413,9 @@ class TestRunCampaign:
                 [("s", stub_solver(1, 1.0)), ("s", stub_solver(2, 1.0))],
                 budget=1.0,
             )
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # a nan or inf budget would switch off every solver deadline
+        with pytest.raises(ScoringError, match="positive and finite"):
+            run_campaign(self.corpus(1), [("s", stub_solver(1, 1.0))], budget=budget)

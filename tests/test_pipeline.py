@@ -1,5 +1,6 @@
 """Config parsing, stage orchestration, artifact caching, and the CLI."""
 
+import dataclasses
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cliquespace import pipeline
+from cliquespace.artifacts import read_model
 from cliquespace.bench import read_journal
 from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
@@ -16,6 +19,7 @@ from cliquespace.features import FEATURE_NAMES, read_features_csv
 from cliquespace.graph import GraphFormat, generate, serialize
 from cliquespace.pipeline import (
     STAGE_ORDER,
+    PipelineConfig,
     config_hash,
     load_config,
     read_artifact_meta,
@@ -396,7 +400,7 @@ def test_report_refuses_mixed_config_hashes(tmp_path):
     # forge a projections artifact from some other campaign
     target = config.artifact("projections.csv")
     lines = target.read_text().splitlines()
-    lines[1] = "# config=000000000000"
+    lines[2] = "# inputs=000000000000"
     target.write_text("\n".join(lines) + "\n")
     with pytest.raises(PipelineError, match="mixed config hashes"):
         run_pipeline(config, ["report"])
@@ -410,6 +414,122 @@ def test_train_refuses_mixed_config_hashes(tmp_path):
     run_pipeline(changed, ["bench"])
     with pytest.raises(PipelineError, match="mixed config hashes"):
         run_pipeline(changed, ["train"])
+
+
+def _copy_campaign(completed_pipeline, tmp_path: Path, edit=None) -> Path:
+    """A copy of the shared campaign, its config edited by one text replacement."""
+    source, _, _, _ = completed_pipeline
+    work = tmp_path / "campaign"
+    shutil.copytree(source, work)
+    ini = work / "campaign.ini"
+    if edit:
+        ini.write_text(ini.read_text().replace(*edit))
+    return ini
+
+
+_CORRELATION_EDIT = ("[run]", "[thresholds]\ncorrelation = 0.7\n\n[run]")
+
+
+@pytest.mark.parametrize(
+    "edit, ran, kept",
+    [
+        (
+            _CORRELATION_EDIT,
+            STAGE_ORDER[3:],
+            ("corpus.csv", "features.csv", "runs.csv"),
+        ),
+        (
+            ("solver_budget = 3.0", "solver_budget = 4.0"),
+            STAGE_ORDER[2:],
+            ("corpus.csv", "features.csv"),
+        ),
+        (
+            ("feature_budget = 60", "feature_budget = 30"),
+            ("features",) + STAGE_ORDER[3:],
+            ("corpus.csv", "runs.csv"),
+        ),
+    ],
+    ids=["correlation", "solver_budget", "feature_budget"],
+)
+def test_config_edit_reruns_only_the_stages_that_read_it(
+    completed_pipeline, tmp_path, edit, ran, kept
+):
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path, edit))
+    before = {name: config.artifact(name).read_bytes() for name in kept}
+    logs = []
+    statuses = run_pipeline(config, log=logs.append)
+    assert [stage for stage, status in statuses if status == "ran"] == list(ran)
+    assert {name: config.artifact(name).read_bytes() for name in kept} == before
+    if "runs.csv" in kept:
+        assert not any("discarding stale journal" in line for line in logs)
+    assert run_pipeline(config) == [(stage, "skipped") for stage in STAGE_ORDER]
+
+
+def test_stale_upstream_stage_is_named(completed_pipeline, tmp_path, capsys):
+    ini = _copy_campaign(completed_pipeline, tmp_path, _CORRELATION_EDIT)
+    assert main(["run", "--config", str(ini), "--stages", "train"]) == 3
+    err = capsys.readouterr().err
+    assert "mixed config hashes" in err and "'isa-fit'" in err
+
+
+# a value for every semantic config field, each unlike the shared campaign's
+_CHANGED_FIELDS = {
+    "corpus": ("elsewhere/*.clq",),
+    "portfolio": (("fastwclq-like", "builtin"),),
+    "solver_budget": 9.0,
+    "feature_budget": 7.0,
+    "correlation_threshold": 0.3,
+    "good_tolerance": 0.5,
+    "selector_input": "features",
+    "seed": 1,
+}
+
+
+def test_stages_read_no_config_field_they_do_not_declare(completed_pipeline, tmp_path):
+    """Re-running a stage from the same inputs with one field it does not
+    declare changed writes the same outputs.  Both runs get the same
+    metadata, so whole files compare; bench compares its runs' outcomes,
+    as wall times differ from run to run."""
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path))
+    unhashed = {"output_dir", "base_dir", "jobs"}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - unhashed
+    assert set(_CHANGED_FIELDS) == fields
+    for field, value in _CHANGED_FIELDS.items():
+        assert config_hash(replace(config, **{field: value})) != config_hash(config), field
+
+    def outputs(stage):
+        if stage.name == "bench":
+            records, _ = read_journal(config.artifact("runs.csv"))
+            return {
+                (r.instance_id, r.solver_id): (r.clique_size, r.proven_optimal, r.status)
+                for r in records
+            }
+        return {name: config.artifact(name).read_bytes() for name in stage.outputs}
+
+    def rerun(stage, changed, meta):
+        if stage.name == "bench":
+            config.artifact("runs.csv").unlink()  # or the journal resumes
+        stage.run(changed, meta, lambda msg: None)
+        return outputs(stage)
+
+    for name in STAGE_ORDER:
+        stage = pipeline._STAGES[name]
+        meta = pipeline._stage_meta(config, stage)
+        want = rerun(stage, config, meta)
+        for field in sorted(fields - set(stage.fields)):
+            changed = replace(config, **{field: _CHANGED_FIELDS[field]})
+            assert rerun(stage, changed, meta) == want, (name, field)
+
+
+def test_v1_model_body_reruns_its_stage(completed_pipeline, tmp_path):
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path))
+    target = config.artifact("selector.isa")
+    header = [line for line in target.read_text().splitlines() if line.startswith("# ")]
+    v1_body = ["cliquespace-selector-model v1", "input_space z", "solvers 0", "end"]
+    target.write_text("\n".join(header + v1_body) + "\n")
+    statuses = run_pipeline(config)
+    assert [stage for stage, status in statuses if status == "ran"] == ["train", "report"]
+    assert read_model(target, "selector")["version"] == 2
 
 
 def test_all_runs_failing_is_a_campaign_failure(tmp_path):
@@ -480,6 +600,15 @@ def test_cli_solve_local_search(tmp_path, capsys):
     )
     assert code == 0
     assert "clique=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_cli_solve_rejects_non_finite_budget(tmp_path, capsys, budget):
+    instance = tmp_path / "k5.clq"
+    instance.write_text(serialize(generate("complete", 5), GraphFormat.DIMACS_CLQ))
+    argv = ["solve", "--solver", "fastwclq-like", "--instance", str(instance)]
+    assert main(argv + ["--budget", budget]) == 3
+    assert "positive and finite" in capsys.readouterr().err
 
 
 def test_cli_solve_missing_instance_is_data_error(tmp_path, capsys):

@@ -185,6 +185,23 @@ class TestLocalSearch:
             solve_local_search(k3, budget=-1.0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, budget: solve_local_search(g, budget=budget),
+        lambda g, budget: solve_exact_bb(g, budget=budget),
+        lambda g, budget: run_external("echo clique 1 {instance}", g, budget=budget),
+    ],
+    ids=["fastwclq-like", "exact", "external"],
+)
+def test_non_finite_budget_rejected(k5, solve, budget):
+    # a nan or inf deadline never passes, so a cycle would never return;
+    # K5 peels in round 0, so a missing check returns here instead of hanging
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(k5, budget)
+
+
 def parse_lp(text: str):
     """Tiny LP-grammar reader returning (objective vars, constraints, binaries)."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("\\")]

@@ -26,11 +26,9 @@ from .errors import CampaignFailureError, CliquespaceError, ConfigError, Pipelin
 from .features import FEATURE_NAMES, read_features_csv
 from .graph import parse_path
 from .isa import project_many, read_projection_model
-from .pipeline import STAGE_ORDER, load_config, run_pipeline
+from .pipeline import STAGE_ORDER, load_config, require_budget, resolve_solver, run_pipeline
 from .selector import predict as selector_predict
 from .selector import read_selector_model
-from .solvers import BUILTIN_SOLVER_IDS, make_builtin
-from .solvers.external import run_external
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,16 +59,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = parse_path(args.instance).graph
-    budget = None if args.budget == 0 else args.budget
-    if budget is None and args.solver in ("fastwclq-like", "external"):
-        raise ConfigError(f"--solver {args.solver} needs a positive --budget")
-    if args.solver == "external":
-        if not args.command:
-            raise ConfigError("solve --solver external requires --command")
-        result = run_external(args.command, g, budget)
-    else:
-        result = make_builtin(args.solver, seed=args.seed)(g, budget)
+    require_budget("--budget", args.budget)
+    try:
+        solve = resolve_solver(
+            args.solver, f"external {args.command}" if args.command else "builtin", args.seed
+        )
+    except ValueError as exc:
+        flag = "--command" if args.command else f"--solver {args.solver}"
+        raise ConfigError(f"{flag}: {exc}") from None
+    result = solve(parse_path(args.instance).graph, args.budget)
     proven = "true" if result.proven_optimal else "false"
     exhausted = "true" if result.budget_exhausted else "false"
     print(
@@ -141,14 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_p = sub.add_parser("solve", help="run one solver on one graph file")
     solve_p.add_argument(
-        "--solver", required=True, choices=BUILTIN_SOLVER_IDS + ("external",)
+        "--solver", required=True, help="a builtin solver id, or a name for --command"
     )
     solve_p.add_argument("--instance", required=True, help="graph file")
     solve_p.add_argument(
-        "--budget", type=float, default=60.0, help="wall seconds (0 = unlimited)"
+        "--budget", type=float, default=60.0, help="wall seconds, positive and finite"
     )
     solve_p.add_argument("--seed", type=int, default=0)
-    solve_p.add_argument("--command", default="", help="external command template")
+    solve_p.add_argument(
+        "--command", default="", help="external command template with {instance}"
+    )
     solve_p.set_defaults(handler=_cmd_solve)
 
     predict_p = sub.add_parser("predict", help="rank solvers for feature-CSV instances")

@@ -59,7 +59,7 @@ from .selector import (
     write_selector_model,
 )
 from .solvers import BUILTIN_SOLVER_IDS, make_builtin
-from .solvers.external import run_external
+from .solvers.external import check_template, run_external
 
 TOOL_VERSION = f"cliquespace/{__version__}"
 
@@ -77,10 +77,36 @@ _PROJECTION_COLUMNS = ("instance_id", "z1", "z2", "best_solver")
 _FOOTPRINT_COLUMNS = ("solver_id", "good_count", "best_count", "area", "density", "purity")
 
 
+def require_budget(key: str, value: float) -> None:
+    """Raise ConfigError naming ``key`` unless ``0 < value < inf``; a
+    ``nan`` budget would switch off every deadline."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{key}: must be positive and finite")
+
+
+def resolve_solver(solver_id: str, spec: str, seed: int):
+    """The (graph, budget_seconds) -> SolveResult callable of one portfolio
+    entry, whose ``spec`` is ``builtin`` or ``external <command template>``.
+
+    Raises ValueError for any other spec, an unknown builtin id or a
+    template without ``{instance}``.
+    """
+    if spec == "builtin":
+        if solver_id not in BUILTIN_SOLVER_IDS:
+            raise ValueError(f"not a builtin (choose from {', '.join(BUILTIN_SOLVER_IDS)})")
+        # a module global looked up per call, so a wrapper installed on this
+        # module (perfbench/spans.py times each builtin run) takes effect
+        return make_builtin(solver_id, seed=seed)
+    if spec.startswith("external "):
+        template = check_template(spec[len("external ") :].strip())
+        return lambda g, budget: run_external(template, g, budget, solver_id=solver_id)
+    raise ValueError("value must be 'builtin' or 'external <command>'")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    corpus: tuple[str, ...]  # path globs, resolved against base_dir
-    portfolio: tuple[tuple[str, str], ...]  # (solver_id, "builtin" | "external <cmd>")
+    corpus: tuple[str, ...] = ()  # path globs, resolved against base_dir
+    portfolio: tuple[tuple[str, str], ...] = ()  # (solver_id, spec), see resolve_solver
     solver_budget: float = 1800.0
     feature_budget: float = 120.0
     correlation_threshold: float = 0.8
@@ -101,26 +127,12 @@ class PipelineConfig:
             if solver_id in seen:
                 raise ConfigError(f"portfolio.{solver_id}: duplicate solver id")
             seen.add(solver_id)
-            if spec == "builtin":
-                if solver_id not in BUILTIN_SOLVER_IDS:
-                    raise ConfigError(
-                        f"portfolio.{solver_id}: not a builtin "
-                        f"(choose from {', '.join(BUILTIN_SOLVER_IDS)})"
-                    )
-            elif spec.startswith("external "):
-                if "{instance}" not in spec:
-                    raise ConfigError(
-                        f"portfolio.{solver_id}: external command needs "
-                        "an {instance} placeholder"
-                    )
-            else:
-                raise ConfigError(
-                    f"portfolio.{solver_id}: value must be 'builtin' or 'external <command>'"
-                )
-        if not 0 < self.solver_budget < math.inf:
-            raise ConfigError("run.solver_budget: must be positive and finite")
-        if not 0 < self.feature_budget < math.inf:
-            raise ConfigError("run.feature_budget: must be positive and finite")
+            try:
+                resolve_solver(solver_id, spec, self.seed)
+            except ValueError as exc:
+                raise ConfigError(f"portfolio.{solver_id}: {exc}") from None
+        require_budget("run.solver_budget", self.solver_budget)
+        require_budget("run.feature_budget", self.feature_budget)
         if not 0.0 <= self.correlation_threshold < 1.0:
             raise ConfigError("thresholds.correlation: must lie in [0, 1)")
         if not 0.0 <= self.good_tolerance < math.inf:
@@ -134,25 +146,23 @@ class PipelineConfig:
         return self.output_dir / name
 
 
-def _get_float(cfg, section: str, option: str, fallback: float) -> float:
-    if not cfg.has_option(section, option):
-        return fallback
-    raw = cfg.get(section, option)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{option}: {raw!r} is not a number") from None
-
-
-def _get_int(cfg, section: str, option: str, fallback: int) -> int:
-    try:
-        return cfg.getint(section, option, fallback=fallback)
-    except ValueError:
-        raise ConfigError(f"{section}.{option}: must be an integer") from None
+# every INI key outside [portfolio]: section.key -> (PipelineConfig field, reader)
+_KEYS = {
+    "corpus.paths": ("corpus", lambda raw: tuple(raw.split())),
+    "run.solver_budget": ("solver_budget", float),
+    "run.feature_budget": ("feature_budget", float),
+    "run.seed": ("seed", int),
+    "run.output_dir": ("output_dir", Path),
+    "run.jobs": ("jobs", int),
+    "thresholds.correlation": ("correlation_threshold", float),
+    "thresholds.good_tolerance": ("good_tolerance", float),
+    "selector.input": ("selector_input", str),
+}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate an INI campaign config."""
+    """Parse and validate an INI campaign config.  A key that is neither a
+    ``[portfolio]`` entry nor in ``_KEYS`` raises ConfigError naming it."""
     import configparser
 
     path = Path(path)
@@ -165,26 +175,25 @@ def load_config(path: str | Path) -> PipelineConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    corpus = tuple(cfg.get("corpus", "paths", fallback="").split())
-    portfolio = tuple(cfg.items("portfolio")) if cfg.has_section("portfolio") else ()
-    selector_input = cfg.get("selector", "input", fallback="z")
-    base_dir = path.parent
-    output_dir = Path(cfg.get("run", "output_dir", fallback="out"))
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
-    config = PipelineConfig(
-        corpus=corpus,
-        portfolio=portfolio,
-        solver_budget=_get_float(cfg, "run", "solver_budget", 1800.0),
-        feature_budget=_get_float(cfg, "run", "feature_budget", 120.0),
-        correlation_threshold=_get_float(cfg, "thresholds", "correlation", 0.8),
-        good_tolerance=_get_float(cfg, "thresholds", "good_tolerance", 0.05),
-        selector_input=selector_input,
-        seed=_get_int(cfg, "run", "seed", 0),
-        output_dir=output_dir,
-        base_dir=base_dir,
-        jobs=_get_int(cfg, "run", "jobs", 1),
-    )
+    fields = {}
+    # [DEFAULT] first: its keys would otherwise join every section, the portfolio too
+    for section in (cfg.default_section, *cfg.sections()):
+        if section == "portfolio":
+            fields["portfolio"] = tuple(cfg.items(section))
+            continue
+        for key, raw in cfg.items(section):
+            name = f"{section}.{key}"
+            if name not in _KEYS:
+                raise ConfigError(f"{name}: unknown key")
+            field, read = _KEYS[name]
+            try:
+                fields[field] = read(raw)
+            except ValueError:
+                kind = "an integer" if read is int else "a number"
+                raise ConfigError(f"{name}: {raw!r} is not {kind}") from None
+    config = PipelineConfig(base_dir=path.parent, **fields)
+    if not config.output_dir.is_absolute():
+        config = replace(config, output_dir=path.parent / config.output_dir)
     config.validate()
     return config
 
@@ -379,21 +388,6 @@ def _stage_features(config: PipelineConfig, meta: dict, log) -> None:
     log(f"features: {len(rows)}/{len(instances)} instances")
 
 
-def _portfolio_callables(config: PipelineConfig):
-    portfolio = []
-    for solver_id, spec in config.portfolio:
-        if spec == "builtin":
-            portfolio.append((solver_id, make_builtin(solver_id, seed=config.seed)))
-        else:
-            template = spec[len("external ") :].strip()
-
-            def runner(g, budget, template=template, solver_id=solver_id):
-                return run_external(template, g, budget, solver_id=solver_id)
-
-            portfolio.append((solver_id, runner))
-    return portfolio
-
-
 def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
     instances = _usable_instances(config)
     journal = config.artifact("runs.csv")
@@ -402,7 +396,9 @@ def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
         journal.unlink()
     matrix, records = run_campaign(
         corpus=instances,
-        portfolio=_portfolio_callables(config),
+        portfolio=[
+            (sid, resolve_solver(sid, spec, config.seed)) for sid, spec in config.portfolio
+        ],
         budget=config.solver_budget,
         parallelism=config.jobs,
         journal=journal,

@@ -3,23 +3,22 @@
 The graph is written as a DIMACS .clq file into a private temp
 directory, the command template's ``{instance}`` placeholder is replaced
 with that path, and the process is supervised with a hard kill at the
-budget.  Two output dialects are understood:
+budget.  The output is read line by line:
 
-``generic``
-    ``clique <int>`` lines report incumbent sizes (the largest wins),
-    an optional ``time <float>`` line reports solve seconds, and an
-    optional ``v <id> <id> ...`` line lists the clique's vertices
-    1-based.  Without a ``time`` line the measured wall time is used.
+- ``clique <int>`` reports an incumbent size; the largest wins.
+- ``v <id> <id> ...`` lists the clique's vertices, 1-based; the last
+  such line wins.
+- ``time <float>`` reports the solve seconds.
+- ``ts``, ``tr`` and ``tp`` (search, reduction and preprocessing
+  seconds, joined to their value by ``=``, ``:`` or whitespace) are
+  summed when no ``time`` value is printed.
 
-``ts_tr_tp``
-    Like ``generic`` but the solve time is reported as separate
-    ``ts``/``tr``/``tp`` values (search, reduction, preprocessing),
-    joined by ``=`` or whitespace; their sum becomes ``wall_seconds``.
-
-A budget kill is not an error: whatever incumbent was printed before
-the kill is returned with ``budget_exhausted`` set.  When the process
-reports vertices they are validated as a real clique of the input
-graph; size-only output cannot be cross-checked and is taken as
+``wall_seconds`` is the ``time`` value if there is one, otherwise the
+sum of the ``ts``/``tr``/``tp`` values, otherwise the measured wall
+time.  A budget kill is not an error: whatever incumbent was printed
+before the kill is returned with ``budget_exhausted`` set.  When the
+process reports vertices they are validated as a real clique of the
+input graph; size-only output cannot be cross-checked and is taken as
 reported.
 """
 
@@ -37,17 +36,18 @@ from ..errors import SolverOutputError, SolverSpawnError
 from ..graph import Graph, GraphFormat, serialize
 
 _CLIQUE_RE = re.compile(r"\bclique[\s=:]+(\d+)\b", re.IGNORECASE)
-_TIME_RE = re.compile(r"\btime[\s=:]+([0-9.eE+-]+)", re.IGNORECASE)
+_SECONDS_RE = re.compile(r"\b(time|ts|tr|tp)[\s=:]+([0-9.eE+-]+)", re.IGNORECASE)
 _VERTS_RE = re.compile(r"^\s*v((?:\s+\d+)+)\s*$", re.MULTILINE)
-_COMPONENT_RE = {
-    key: re.compile(rf"\b{key}[\s=:]+([0-9.eE+-]+)", re.IGNORECASE)
-    for key in ("ts", "tr", "tp")
-}
-
-PARSERS = ("generic", "ts_tr_tp")
 
 
-def _parse_output(text: str, parser: str):
+def check_template(cmd_template: str) -> str:
+    """``cmd_template`` itself; raises ValueError unless it holds ``{instance}``."""
+    if "{instance}" not in cmd_template:
+        raise ValueError("external command needs an {instance} placeholder")
+    return cmd_template
+
+
+def _parse_output(text: str):
     """Returns (clique vertices 0-based or None, size or None, reported seconds or None)."""
     sizes = [int(m) for m in _CLIQUE_RE.findall(text)]
     size = max(sizes) if sizes else None
@@ -55,16 +55,9 @@ def _parse_output(text: str, parser: str):
     vm = _VERTS_RE.findall(text)
     if vm:
         verts = sorted(int(tok) - 1 for tok in vm[-1].split())
-    if parser == "generic":
-        tm = _TIME_RE.findall(text)
-        reported = float(tm[-1]) if tm else None
-    else:
-        parts = []
-        for key, rx in _COMPONENT_RE.items():
-            found = rx.findall(text)
-            if found:
-                parts.append(float(found[-1]))
-        reported = sum(parts) if parts else None
+    last = {key.lower(): float(value) for key, value in _SECONDS_RE.findall(text)}
+    parts = [last[key] for key in ("ts", "tr", "tp") if key in last]
+    reported = last.get("time", sum(parts) if parts else None)
     return verts, size, reported
 
 
@@ -72,16 +65,12 @@ def run_external(
     cmd_template: str,
     g: Graph,
     budget: float,
-    parser: str = "generic",
     solver_id: str = "external",
 ):
     """Run one external solver process on ``g`` under a wall-clock budget."""
     from . import SolveResult, verify_clique
 
-    if "{instance}" not in cmd_template:
-        raise ValueError("command template must contain the {instance} placeholder")
-    if parser not in PARSERS:
-        raise ValueError(f"parser must be one of {PARSERS}, got {parser!r}")
+    check_template(cmd_template)
     if not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
@@ -110,7 +99,7 @@ def run_external(
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
         measured = time.perf_counter() - start
 
-    verts, size, reported = _parse_output(stdout, parser)
+    verts, size, reported = _parse_output(stdout)
     if not killed and returncode != 0:
         raise SolverOutputError(
             f"{solver_id} exited with status {returncode}: {stdout[-500:]!r}"

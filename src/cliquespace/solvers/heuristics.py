@@ -8,41 +8,21 @@ import time
 
 from ..graph import Graph, greedy_clique, iter_bits, most_connected
 
-_GREEDY_VARIANTS = ("random_karp", "max_degree")
+# a local-search round after the first grows by the best of this many sampled candidates
+_SAMPLES = 64
 
 
-def solve_greedy(g: Graph, variant: str = "max_degree", seed: int = 0, restarts: int = 1):
+def solve_greedy(g: Graph):
     """Sequential clique growth: pick a vertex, keep only its neighbors, repeat.
 
-    ``max_degree`` is :func:`~cliquespace.graph.greedy_clique`, which picks
-    the candidate with the most neighbors among the remaining candidates
-    (ties to the lowest id); it is deterministic, so ``seed`` and
-    ``restarts`` do not change it.  ``random_karp`` picks uniformly from
-    the candidate set and keeps the best clique over ``restarts`` rounds;
-    deterministic for a fixed seed.
+    This is :func:`~cliquespace.graph.greedy_clique`, which picks the
+    candidate with the most neighbors among the remaining candidates
+    (ties to the lowest id); it is deterministic.
     """
     from . import finish
 
-    if variant not in _GREEDY_VARIANTS:
-        raise ValueError(f"variant must be one of {_GREEDY_VARIANTS}, got {variant!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     start = time.perf_counter()
-    if variant == "max_degree":
-        best = greedy_clique(g)
-    else:
-        rng = random.Random(seed)
-        adj = g.adj_bits
-        best = []
-        for _ in range(restarts):
-            clique: list[int] = []
-            cand = (1 << g.node_count) - 1
-            while cand:
-                v = rng.choice(list(iter_bits(cand)))
-                clique.append(v)
-                cand &= adj[v]
-            if len(clique) > len(best):
-                best = clique
+    best = greedy_clique(g)
     return finish(g, best, start, "greedy", proven=len(best) == g.node_count)
 
 
@@ -50,7 +30,6 @@ def solve_local_search(
     g: Graph,
     budget: float,
     seed: int = 0,
-    bms_samples: int = 64,
     on_incumbent=None,
 ):
     """Repeated clique construction with degree-based graph reduction.
@@ -60,7 +39,7 @@ def solve_local_search(
     clique, so it is removed and degrees cascade.  If the whole graph
     peels away the incumbent is provably maximum.  Construction round 0
     is the deterministic max-connectivity greedy; later rounds start at
-    a random vertex and grow by best-of-``bms_samples`` candidate
+    a random vertex and grow by best-of-``_SAMPLES`` candidate
     sampling.  Anytime within ``budget`` wall seconds.
     """
     from . import finish
@@ -86,10 +65,10 @@ def solve_local_search(
         cand = adj[v] & alive
         while cand:
             cand_list = list(iter_bits(cand))
-            if len(cand_list) <= bms_samples:
+            if len(cand_list) <= _SAMPLES:
                 pick = most_connected(cand, adj)
             else:
-                sample = {rng.choice(cand_list) for _ in range(bms_samples)}
+                sample = {rng.choice(cand_list) for _ in range(_SAMPLES)}
                 pick = max(
                     sorted(sample),
                     key=lambda u: (adj[u] & cand).bit_count(),

@@ -104,8 +104,7 @@ def completed_pipeline(tmp_path_factory):
 
 def test_load_config_fields(tmp_path):
     (tmp_path / "corpus").mkdir()
-    path = write_config(tmp_path, extra="jobs_are_not_config = ignored")
-    config = load_config(path)
+    config = load_config(write_config(tmp_path))
     assert config.corpus == ("corpus/*.clq",)
     assert config.portfolio == (("exact", "builtin"), ("greedy", "builtin"))
     assert config.solver_budget == 3.0
@@ -125,6 +124,22 @@ def test_load_config_reads_jobs(tmp_path):
 def test_load_config_rejects_non_integer_jobs(tmp_path):
     with pytest.raises(ConfigError, match="run.jobs"):
         load_config(write_config(tmp_path, extra="jobs = two"))
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[run]\nsolver_budgte = 5\n", "run.solver_budgte"),  # would keep 1800 s
+        ("[isa]\nprojection = pilot\n", "isa.projection"),
+        ("[DEFAULT]\nwarp = builtin\n", "DEFAULT.warp"),  # would join the portfolio
+    ],
+    ids=["misspelled", "unknown-section", "default-section"],
+)
+def test_config_rejects_unknown_keys(tmp_path, text, key):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[corpus]\npaths = x/*.clq\n[portfolio]\nexact = builtin\n" + text)
+    with pytest.raises(ConfigError, match=f"{key}.*unknown key"):
+        load_config(bad)
 
 
 def test_config_missing_file():
@@ -602,13 +617,71 @@ def test_cli_solve_local_search(tmp_path, capsys):
     assert "clique=2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("budget", ["nan", "inf"])
-def test_cli_solve_rejects_non_finite_budget(tmp_path, capsys, budget):
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--budget", "nan"], "--budget"),
+        (["--budget", "inf"], "--budget"),
+        (["--budget", "-1"], "--budget"),
+        (["--budget", "0"], "--budget"),
+        (["--command", "echo clique 1"], "--command"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "no-placeholder"],
+)
+def test_cli_solve_bad_flag_is_config_error(tmp_path, capsys, flags, named):
     instance = tmp_path / "k5.clq"
     instance.write_text(serialize(generate("complete", 5), GraphFormat.DIMACS_CLQ))
     argv = ["solve", "--solver", "fastwclq-like", "--instance", str(instance)]
-    assert main(argv + ["--budget", budget]) == 3
-    assert "positive and finite" in capsys.readouterr().err
+    assert main(argv + flags) == 2
+    assert f"config error: {named}: " in capsys.readouterr().err
+
+
+# a stand-in external solver: the greedy clique from the lowest vertex id,
+# reported with split search/reduction/preprocessing times and no total
+_SPLIT_TIME_STUB = """
+import sys
+adj = {}
+for line in open(sys.argv[1]):
+    if line.startswith("e "):
+        _, u, v = line.split()
+        adj.setdefault(int(u), set()).add(int(v))
+        adj.setdefault(int(v), set()).add(int(u))
+clique, cand = [], set(adj)
+while cand:
+    clique.append(min(cand))
+    cand &= adj[clique[-1]]
+print("ts=0.5")
+print("tr=0.25")
+print("tp=0.125")
+print("v", *clique)
+"""
+
+
+def test_external_split_times_reach_the_journal_and_solve(tmp_path, capsys):
+    write_corpus(tmp_path / "corpus")
+    stub = tmp_path / "stub.py"
+    stub.write_text(_SPLIT_TIME_STUB)
+    command = f"{sys.executable} {stub} {{instance}}"
+    config_path = tmp_path / "campaign.ini"
+    config_path.write_text(
+        "[corpus]\npaths = corpus/*.clq\n"
+        f"[portfolio]\nmine = external {command}\n"
+        "[run]\nsolver_budget = 10\noutput_dir = out\n"
+    )
+    config = load_config(config_path)
+    run_pipeline(config, ["ingest", "bench"])
+    records, _ = read_journal(config.artifact("runs.csv"))
+    assert len(records) == 14
+    assert all(r.status == "ok" and r.wall_seconds == 0.875 for r in records)
+    assert {r.instance_id: r.clique_size for r in records}["inst00"] == 8  # K8
+
+    for r in records[:3]:
+        argv = ["solve", "--solver", "mine", "--command", command]
+        instance = tmp_path / "corpus" / f"{r.instance_id}.clq"
+        assert main(argv + ["--instance", str(instance), "--budget", "10"]) == 0
+        out = capsys.readouterr().out
+        assert f"solver=mine clique={r.clique_size} " in out
+        assert "wall=0.875 " in out
 
 
 def test_cli_solve_missing_instance_is_data_error(tmp_path, capsys):

@@ -101,35 +101,14 @@ class TestExactSolver:
 
 
 class TestGreedySolver:
-    @pytest.mark.parametrize("variant", ["random_karp", "max_degree"])
-    def test_complete_graph_any_variant(self, variant):
-        res = solve_greedy(generate("complete", 8), variant=variant, seed=3)
+    def test_complete_graph(self):
+        res = solve_greedy(generate("complete", 8))
         assert res.clique_size == 8
         assert res.proven_optimal
 
     def test_star_finds_an_edge(self, star7):
         res = solve_greedy(star7)
         assert res.clique_size == 2
-
-    def test_restarts_bounded_by_oracle(self):
-        g = generate("gnp", 18, p=0.4, seed=7)
-        omega = clique_number_exact(g)
-        res = solve_greedy(g, variant="random_karp", seed=0, restarts=50)
-        assert 2 <= res.clique_size <= omega
-
-    def test_deterministic_given_seed(self):
-        g = generate("gnp", 25, p=0.5, seed=11)
-        a = solve_greedy(g, variant="random_karp", seed=42, restarts=10)
-        b = solve_greedy(g, variant="random_karp", seed=42, restarts=10)
-        assert a.clique == b.clique
-
-    def test_bad_variant_rejected(self, k3):
-        with pytest.raises(ValueError):
-            solve_greedy(k3, variant="clairvoyant")
-
-    def test_bad_restarts_rejected(self, k3):
-        with pytest.raises(ValueError):
-            solve_greedy(k3, restarts=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,7 +154,7 @@ class TestLocalSearch:
         wins = 0
         for seed in range(50):
             g = generate("gnp", 35, p=0.5, seed=1000 + seed)
-            greedy = solve_greedy(g, variant="max_degree", seed=seed)
+            greedy = solve_greedy(g)
             local = solve_local_search(g, budget=0.05, seed=seed)
             wins += local.clique_size >= greedy.clique_size
         assert wins >= 45
@@ -308,9 +287,15 @@ class TestExternalAdapter:
 
     def test_ts_tr_tp_dialect_sums_components(self, k3):
         code = "print('ts=1.0'); print('tr=0.2'); print('tp=0.1'); print('clique 10')"
-        res = run_external(py_stub(code), k3, budget=10.0, parser="ts_tr_tp")
+        res = run_external(py_stub(code), k3, budget=10.0)
         assert res.clique_size == 10
         assert res.wall_seconds == pytest.approx(1.3)
+
+    def test_time_wins_over_ts_tr_tp(self, k3):
+        code = "print('ts=1.0'); print('time 0.5'); print('tp=0.1'); print('clique 3')"
+        res = run_external(py_stub(code), k3, budget=10.0)
+        assert res.clique_size == 3
+        assert res.wall_seconds == 0.5
 
     def test_vertex_list_is_validated(self, k3):
         res = run_external(py_stub("print('clique 3'); print('v 1 2 3')"), k3, budget=10.0)
@@ -338,10 +323,6 @@ class TestExternalAdapter:
     def test_missing_placeholder_rejected(self, k3):
         with pytest.raises(ValueError):
             run_external("echo clique 1", k3, budget=1.0)
-
-    def test_unknown_parser_rejected(self, k3):
-        with pytest.raises(ValueError):
-            run_external("echo {instance}", k3, budget=1.0, parser="weird")
 
     def test_spawn_failure(self, k3):
         with pytest.raises(SolverSpawnError):

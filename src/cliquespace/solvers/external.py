@@ -36,7 +36,9 @@ from ..errors import SolverOutputError, SolverSpawnError
 from ..graph import Graph, GraphFormat, serialize
 
 _CLIQUE_RE = re.compile(r"\bclique[\s=:]+(\d+)\b", re.IGNORECASE)
-_SECONDS_RE = re.compile(r"\b(time|ts|tr|tp)[\s=:]+([0-9.eE+-]+)", re.IGNORECASE)
+_SECONDS_RE = re.compile(
+    r"\b(time|ts|tr|tp)[\s=:]+([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.IGNORECASE
+)
 _VERTS_RE = re.compile(r"^\s*v((?:\s+\d+)+)\s*$", re.MULTILINE)
 
 

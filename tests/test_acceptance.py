@@ -328,7 +328,8 @@ def _bipartite_trap(k: int, fringe: int) -> Graph:
     The fringe vertices have the highest degrees but pairwise span at most
     an edge, so degree-greedy construction stalls at size 2 while branch
     and bound proves the hidden clique immediately.  Degree-based peeling
-    never empties the fringe, which keeps budget-bound local search busy.
+    alone never empties the fringe; the edge peel of ``fastwclq-like``
+    does (fringe edges have no common neighbor), so it proves these too.
     """
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     left = range(k, k + fringe)

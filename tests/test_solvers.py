@@ -1,5 +1,6 @@
 import shlex
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cliquespace.solvers import (
 )
 
 from oracles import clique_number_exact, connected_gnp, is_clique
+from test_acceptance import _bipartite_trap
 
 
 def k10_minus_matching() -> Graph:
@@ -135,6 +137,66 @@ class TestLocalSearch:
         assert res.proven_optimal
         assert not res.budget_exhausted
         assert res.wall_seconds < 1.0
+
+    def test_edge_peel_proves_cycles(self):
+        # every vertex has degree 2, so only the edge peel (no common
+        # neighbor, 0 + 2 <= 2) empties the graph
+        for n in range(4, 31):
+            res = solve_local_search(generate("cycle", n), budget=5.0, seed=0)
+            assert (n, res.clique_size, res.proven_optimal) == (n, 2, True)
+            assert not res.budget_exhausted
+            assert res.wall_seconds < 1.0
+
+    @pytest.mark.parametrize("k, fringe", [(5, 7), (6, 8), (6, 9), (7, 9)])
+    def test_edge_peel_proves_bipartite_traps(self, k, fringe):
+        # round 0 stalls at 2 in the fringe; the edge peel then clears the
+        # fringe, and the hidden clique is found and proven
+        res = solve_local_search(_bipartite_trap(k, fringe), budget=5.0, seed=0)
+        assert res.clique_size == k
+        assert res.proven_optimal
+        assert not res.budget_exhausted
+        assert res.wall_seconds < 1.0
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_peeled_results_never_exceed_omega(self, n, p, seed):
+        g = generate("gnp", n, p=p, seed=seed)
+        res = solve_local_search(g, budget=0.1, seed=seed)
+        omega = clique_number_exact(g)
+        assert is_clique(g, list(res.clique))
+        assert res.clique_size <= omega
+        if res.proven_optimal:
+            assert res.clique_size == omega
+
+    def test_edge_peel_stops_at_the_deadline(self):
+        # the incumbent callback sleeps past the deadline, so the edge pass
+        # stops at its first vertex and the cycle stays unproven
+        res = solve_local_search(
+            generate("cycle", 30),
+            budget=0.05,
+            seed=0,
+            on_incumbent=lambda clique, t: time.sleep(0.1),
+        )
+        assert res.clique_size == 2
+        assert not res.proven_optimal
+        assert res.budget_exhausted
+
+    def test_edge_peel_keeps_the_deadline_on_hamming10_2(self):
+        # nothing peels here (every edge has >= 1002 common neighbors), so the
+        # run is budget-bound: edge passes and sampled rounds on 518,656
+        # edges must still return within half a second of the deadline
+        n = 1024
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if (u ^ v).bit_count() != 1
+        ]
+        g = Graph(n, edges, name="hamming10-2")
+        res = solve_local_search(g, budget=2.0, seed=0)
+        assert res.clique_size == 512
+        assert res.wall_seconds < 2.5
 
     def test_anytime_incumbents_monotone(self):
         g = connected_gnp(60, 0.6, seed=5)
@@ -296,6 +358,13 @@ class TestExternalAdapter:
         res = run_external(py_stub(code), k3, budget=10.0)
         assert res.clique_size == 3
         assert res.wall_seconds == 0.5
+
+    @pytest.mark.parametrize("line", ["time elapsed: 0.5", "ts=-"])
+    def test_time_word_without_a_number_is_ignored(self, k3, line):
+        # no float follows the key, so the measured wall time is used
+        res = run_external(py_stub(f"print('clique 3'); print({line!r})"), k3, budget=10.0)
+        assert res.clique_size == 3
+        assert 0.0 < res.wall_seconds < 10.0
 
     def test_vertex_list_is_validated(self, k3):
         res = run_external(py_stub("print('clique 3'); print('v 1 2 3')"), k3, budget=10.0)

@@ -139,6 +139,9 @@ class _Deadline:
     """Wall-clock budget shared by every feature group of one instance."""
 
     def __init__(self, seconds: float | None):
+        # None is unlimited; a nan or inf limit would never fire, so refuse it
+        if seconds is not None and not 0 < seconds < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {seconds!r}")
         self.limit = None if seconds is None else time.perf_counter() + seconds
 
     def check(self) -> None:
@@ -333,7 +336,7 @@ def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
 
 
-def spectral_features(g: Graph, timeout: float | None = None) -> SpectralStats:
+def spectral_features(g: Graph) -> SpectralStats:
     """Eigenvalue-derived features of the adjacency and Laplacian matrices.
 
     Uses one dense symmetric eigendecomposition per matrix.  Laplacian
@@ -344,7 +347,6 @@ def spectral_features(g: Graph, timeout: float | None = None) -> SpectralStats:
     """
     if g.node_count < 2:
         raise ValueError("spectral features need at least 2 nodes")
-    _Deadline(timeout).check()
     eva, evl = graph_spectra(g)
 
     # overflow-safe cosh/exp ratio: factor out exp(max eigenvalue)
@@ -441,8 +443,6 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
         raise ValueError("feature extraction needs at least 2 nodes")
     if not validate_connected(g):
         raise DisconnectedGraphError(f"graph {g.name!r} is disconnected")
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
     deadline = _Deadline(timeout)
     timings: dict[str, float] = {}
     n = g.node_count

@@ -357,12 +357,10 @@ def detect_format(path: str | Path) -> GraphFormat:
     return _EXTENSION_FORMATS.get(Path(path).suffix.lower(), GraphFormat.EDGE_LIST)
 
 
-def parse_path(path: str | Path, fmt: GraphFormat | None = None) -> IngestReport:
-    """Parse a graph file, detecting the format from the extension unless given."""
+def parse_path(path: str | Path) -> IngestReport:
+    """Parse a graph file in the format its extension names (see detect_format)."""
     path = Path(path)
-    if fmt is None:
-        fmt = detect_format(path)
-    return parse_graph(path.read_bytes(), fmt, name=path.stem)
+    return parse_graph(path.read_bytes(), detect_format(path), name=path.stem)
 
 
 def serialize(g: Graph, fmt: GraphFormat) -> str:

@@ -571,14 +571,7 @@ def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
         majority_baseline=repr(majority),
     )
     write_table(config.artifact("report.csv"), _FOOTPRINT_COLUMNS, rows, report_meta)
-    render_scatter(
-        Z,
-        best,
-        boundary,
-        config.artifact("scatter.svg"),
-        meta=meta,
-        title="Instance space by best solver",
-    )
+    render_scatter(Z, best, boundary, config.artifact("scatter.svg"), meta=meta)
     log(
         f"report: top-1 accuracy {evaluation.accuracies[1]:.3f}, "
         f"majority baseline {majority:.3f}"

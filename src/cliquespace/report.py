@@ -49,7 +49,6 @@ def render_scatter(
     boundary: np.ndarray,
     path: str | Path,
     meta: dict | None = None,
-    title: str = "Instance space",
 ) -> None:
     """Write the scatter plot; ``labels[i]`` colors ``points[i]``."""
     points = np.asarray(points, dtype=float)
@@ -78,7 +77,7 @@ def render_scatter(
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
-        f"{title}</text>"
+        "Instance space by best solver</text>"
     )
     out.append(
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{plot_w}" height="{plot_h}" '

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..artifacts import read_model, write_model
 from ..errors import ModelFormatError, SelectorError
-from .svm import SvmClassifier, balanced_weights, train_svm
+from .svm import SvmClassifier, train_svm
 
 DEFAULT_GRID = tuple(
     (c, g) for c in (0.1, 1.0, 10.0, 100.0) for g in (0.01, 0.1, 1.0)
@@ -32,10 +32,9 @@ class PriorClassifier:
 
     rate: float
 
-    def decision(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        values = np.full(x.shape[0], self.rate)
-        return float(values[0]) if values.shape[0] == 1 else values
+    def decision(self, x) -> np.ndarray:
+        """One decision value per row of ``x``."""
+        return np.full(np.atleast_2d(np.asarray(x, dtype=float)).shape[0], self.rate)
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,7 @@ def train(
     solver_ids,
     feature_names,
     input_space: str = "z",
-    grid=DEFAULT_GRID,
     seed: int = 0,
-    metadata: dict | None = None,
 ) -> SelectorModel:
     """Fit the per-solver classifier bank.
 
@@ -128,7 +125,7 @@ def train(
 
     classifiers: dict = {}
     fold_log: dict = {}
-    chosen: dict = {}
+    metadata: dict = {}
     any_svm = False
     for s, solver_id in enumerate(solver_ids):
         labels = good[:, s]
@@ -136,7 +133,7 @@ def train(
         n_neg = int((~labels).sum())
         if n_pos < 2 or n_neg < 2:
             classifiers[solver_id] = PriorClassifier(rate=n_pos / labels.shape[0])
-            chosen[solver_id] = "prior"
+            metadata[f"hyper.{solver_id}"] = "prior"
             continue
         any_svm = True
         rng = random.Random(f"{seed}:{solver_id}")
@@ -144,49 +141,31 @@ def train(
         folds = _stratified_folds(labels, n_folds, rng)
         fold_log[solver_id] = folds
         y_signed = np.where(labels, 1.0, -1.0)
-        best_score, best_hyper = -1.0, grid[0]
-        for c_val, gamma in grid:
+        best_score, best_hyper = -1.0, DEFAULT_GRID[0]
+        for c_val, gamma in DEFAULT_GRID:
             scores = []
             for fold in folds:
                 val_mask = np.zeros(X.shape[0], dtype=bool)
                 val_mask[fold] = True
-                y_train = y_signed[~val_mask]
-                clf = train_svm(
-                    X[~val_mask],
-                    y_train,
-                    C=c_val,
-                    gamma=gamma,
-                    sample_weight=balanced_weights(y_train),
-                    seed=seed,
-                )
-                predicted = np.asarray(clf.decision(X[val_mask])) > 0
+                clf = train_svm(X[~val_mask], y_signed[~val_mask], C=c_val, gamma=gamma)
+                predicted = clf.decision(X[val_mask]) > 0
                 scores.append(_f1(labels[val_mask], predicted))
             mean_f1 = float(np.mean(scores))
             if mean_f1 > best_score + 1e-12:
                 best_score, best_hyper = mean_f1, (c_val, gamma)
         c_val, gamma = best_hyper
-        classifiers[solver_id] = train_svm(
-            X,
-            y_signed,
-            C=c_val,
-            gamma=gamma,
-            sample_weight=balanced_weights(y_signed),
-            seed=seed,
-        )
-        chosen[solver_id] = f"C={c_val:g} gamma={gamma:g} cv_f1={best_score:.4f}"
+        classifiers[solver_id] = train_svm(X, y_signed, C=c_val, gamma=gamma)
+        metadata[f"hyper.{solver_id}"] = f"C={c_val:g} gamma={gamma:g} cv_f1={best_score:.4f}"
     if not any_svm:
         raise SelectorError(
             "every solver has degenerate labels; nothing trainable in this corpus"
         )
-    meta = dict(metadata or {})
-    for solver_id, line in chosen.items():
-        meta[f"hyper.{solver_id}"] = line
     return SelectorModel(
         input_space=input_space,
         feature_names=feature_names,
         solver_ids=solver_ids,
         classifiers=classifiers,
-        metadata=meta,
+        metadata=metadata,
         fold_log=fold_log,
     )
 
@@ -199,7 +178,7 @@ def predict(model: SelectorModel, x) -> list[tuple[str, float]]:
     if not np.isfinite(x).all():
         raise SelectorError("non-finite prediction input")
     scored = [
-        (solver_id, float(model.classifiers[solver_id].decision(x)))
+        (solver_id, float(model.classifiers[solver_id].decision(x)[0]))
         for solver_id in model.solver_ids
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))

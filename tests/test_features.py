@@ -56,9 +56,14 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             compute_features(Graph(1, []))
 
-    def test_nonpositive_timeout_rejected(self, k3):
-        with pytest.raises(ValueError):
-            compute_features(k3, timeout=0.0)
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_timeout_rejected(self, k3, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            compute_features(k3, timeout=timeout)
+
+    def test_nan_centrality_timeout_rejected(self, k3):
+        with pytest.raises(ValueError, match="timeout"):
+            centrality_stats(k3, timeout=math.nan)
 
     def test_budget_overrun_raises(self):
         g = connected_gnp(60, 0.5, seed=7)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from cliquespace.errors import ModelFormatError, SelectorError
 from cliquespace.isa import load_external_matrix, write_projection_model
@@ -64,18 +65,58 @@ def test_svm_separates_two_clusters():
         [rng.normal(-2, 0.3, size=(15, 2)), rng.normal(2, 0.3, size=(15, 2))]
     )
     y = np.array([-1.0] * 15 + [1.0] * 15)
-    clf = train_svm(X, y, C=10.0, gamma=0.5, sample_weight=balanced_weights(y), seed=0)
-    scores = np.asarray(clf.decision(X))
+    clf = train_svm(X, y, C=10.0, gamma=0.5)
+    scores = clf.decision(X)
     assert ((scores > 0) == (y > 0)).all()
     assert clf.support_vectors.shape[0] >= 1
 
 
-def test_svm_decision_scalar_for_single_point():
+def test_svm_decision_is_one_value_per_row():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
-    clf = train_svm(X, y, C=1.0, gamma=1.0, sample_weight=balanced_weights(y), seed=0)
-    value = clf.decision(np.array([2.5]))
-    assert isinstance(value, float)
+    clf = train_svm(X, y, C=1.0, gamma=1.0)
+    assert clf.decision(np.array([2.5])).shape == (1,)
+    assert PriorClassifier(0.5).decision(np.array([2.5])).shape == (1,)
+
+
+def _dual_objective(alpha, Q):
+    return 0.5 * alpha @ Q @ alpha - alpha.sum()
+
+
+@pytest.mark.parametrize("C, gamma", [(1.0, 1.0), (10.0, 0.1), (0.1, 0.01)])
+def test_svm_reaches_the_dual_optimum(C, gamma):
+    # min 1/2 a'Qa - 1'a  s.t.  y'a = 0, 0 <= a <= C * w, with Q = K * y y'
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, 3))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=30) > 0.3, 1.0, -1.0)
+        clf = train_svm(X, y, C=C, gamma=gamma)
+        box = C * balanced_weights(y)
+        Q = rbf_kernel(X, X, gamma) * np.outer(y, y)
+        alpha = np.zeros(30)
+        for sv, coef in zip(clf.support_vectors, clf.dual_coef):
+            alpha[np.flatnonzero((X == sv).all(axis=1))] = abs(coef)
+        assert (alpha >= 0.0).all() and (alpha <= box).all()
+        assert abs(alpha @ y) <= 1e-9
+
+        # KKT: max over I_up of -y*grad minus min over I_low stays within tolerance
+        score = -y * (Q @ alpha - 1.0)
+        up = np.where(y > 0, alpha < box, alpha > 0.0)
+        low = np.where(y > 0, alpha > 0.0, alpha < box)
+        assert score[up].max() - score[low].min() <= 1e-3 + 1e-9
+
+        reference = minimize(
+            lambda a: _dual_objective(a, Q),
+            np.zeros(30),
+            jac=lambda a: Q @ a - 1.0,
+            bounds=list(zip(np.zeros(30), box)),
+            constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+            method="SLSQP",
+            options={"maxiter": 1000, "ftol": 1e-12},
+        )
+        assert reference.success
+        best = min(reference.fun, _dual_objective(alpha, Q))
+        assert _dual_objective(alpha, Q) - best <= 1e-4 * abs(best)
 
 
 # ---------------------------------------------------------------- training

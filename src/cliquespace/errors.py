@@ -17,10 +17,6 @@ class FeatureTimeoutError(CliquespaceError):
     """Feature computation exceeded its time budget."""
 
 
-class EigenConvergenceError(CliquespaceError):
-    """An iterative eigensolver failed to converge within its iteration cap."""
-
-
 class CliqueValidityError(CliquespaceError):
     """A solver returned a vertex set that is not a clique of the input graph."""
 

@@ -3,13 +3,13 @@
 Every feature is polynomial-time: counting and degree statistics are
 linear; girth, the geodesic-distance statistics, closeness and
 betweenness all come from one breadth-first search per source over a
-CSR adjacency built once per instance, O(|V|*|E|) in total; eigenvector
-centrality is a power iteration at O(k*|E|) on the same CSR; and the
-spectral block is one dense symmetric eigendecomposition each of the
-adjacency and Laplacian matrices.  A single wall-clock budget covers the
-whole computation; instances that blow it raise
-:class:`~cliquespace.errors.FeatureTimeoutError` so a corpus run can
-exclude them instead of stalling.
+CSR adjacency built once per instance, O(|V|*|E|) in total; and the
+spectral block takes the eigenvalues of one dense adjacency matrix and
+of its Laplacian, then solves that matrix for eigenvector centrality.
+A single wall-clock budget covers the whole computation; instances that
+blow it raise :class:`~cliquespace.errors.FeatureTimeoutError` so a
+corpus run can exclude them instead of stalling.  Neither a dense
+eigenvalue call nor a dense solve can be interrupted by the budget.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_table, write_table
-from .errors import (
-    DisconnectedGraphError,
-    EigenConvergenceError,
-    FeatureTimeoutError,
-)
+from .errors import DisconnectedGraphError, FeatureTimeoutError
 from .graph import Graph, greedy_clique, iter_bits, iter_edges, validate_connected
 
 __all__ = [
@@ -45,9 +41,6 @@ __all__ = [
 
 # Relative threshold below which a Laplacian eigenvalue counts as zero.
 _LAPLACIAN_ZERO_RTOL = 1e-8
-
-_POWER_ITERATION_TOL = 1e-8
-_POWER_ITERATION_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -237,41 +230,10 @@ def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
     return 0.0 if math.isinf(girth) else float(girth), hist, dist_sums, bc
 
 
-def _eigenvector_centrality(indptr, indices, deadline: _Deadline) -> np.ndarray:
-    """Dominant adjacency eigenvector by power iteration on A + I.
-
-    The identity shift keeps the iteration convergent on bipartite graphs
-    (where the raw adjacency spectrum is symmetric) without changing the
-    eigenvector.  The result is normalized to unit Euclidean length.
-    """
-    n = len(indptr) - 1
-    edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(_POWER_ITERATION_MAX_STEPS):
-        deadline.check()
-        y = x + np.bincount(indices, weights=x[edge_src], minlength=n)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return x  # edgeless graph: uniform vector is already the answer
-        y /= norm
-        if np.abs(y - x).max() < _POWER_ITERATION_TOL:
-            return y
-        x = y
-    raise EigenConvergenceError(
-        f"power iteration did not reach {_POWER_ITERATION_TOL} in "
-        f"{_POWER_ITERATION_MAX_STEPS} steps"
-    )
-
-
-def _centrality_from(g: Graph, csr, dist_sums, bc, deadline: _Deadline) -> CentralityStats:
+def _centrality_from(g: Graph, dist_sums, bc, eigen) -> CentralityStats:
     n = g.node_count
-    if n > 1:
-        closeness = (n - 1) / dist_sums
-        degree_centrality = np.asarray(g.degrees, dtype=float) / (n - 1)
-    else:
-        closeness = np.zeros(1)
-        degree_centrality = np.zeros(1)
-    eigen = _eigenvector_centrality(*csr, deadline)
+    closeness = (n - 1) / dist_sums
+    degree_centrality = np.asarray(g.degrees, dtype=float) / (n - 1)
     return CentralityStats(
         median_betweenness=float(np.median(bc)),
         std_betweenness=float(np.std(bc)),
@@ -289,15 +251,18 @@ def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
 
     Betweenness uses Brandes' shortest-path accumulation; closeness is
     (n-1) over the sum of distances; degree centrality is degree/(n-1);
-    eigenvector centrality comes from power iteration.  Requires a
-    connected graph so closeness and betweenness are well-defined.
+    eigenvector centrality solves a dense adjacency matrix built here,
+    which ``timeout`` cannot interrupt.  Requires a connected graph with
+    at least 2 nodes so closeness and betweenness are well-defined.
     """
+    if g.node_count < 2:
+        raise ValueError("centrality statistics need at least 2 nodes")
     if not validate_connected(g):
         raise DisconnectedGraphError("centrality statistics need a connected graph")
-    deadline = _Deadline(timeout)
-    csr = _csr(g)
-    _, _, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
-    return _centrality_from(g, csr, dist_sums, bc, deadline)
+    _, _, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(timeout))
+    adj = _adjacency(g)
+    eigen = _leading_eigenvector(adj, np.linalg.eigvalsh(adj)[-1])
+    return _centrality_from(g, dist_sums, bc, eigen)
 
 
 def _distance_stats(hist: np.ndarray) -> tuple[float, float, float]:
@@ -326,14 +291,40 @@ def _global_clustering(g: Graph) -> float:
     return triangles3 / wedges if wedges else 0.0
 
 
-def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the adjacency and Laplacian matrices."""
+def _adjacency(g: Graph) -> np.ndarray:
     n = g.node_count
     adj = np.zeros((n, n))
     for u, v in iter_edges(g):
         adj[u, v] = adj[v, u] = 1.0
-    lap = np.diag(np.asarray(g.degrees, dtype=float)) - adj
+    return adj
+
+
+def _spectra(adj: np.ndarray, degrees) -> tuple[np.ndarray, np.ndarray]:
+    # the Laplacian is freed on return, before any solve on ``adj``
+    lap = np.diag(np.asarray(degrees, dtype=float)) - adj
     return np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
+
+
+def _leading_eigenvector(adj: np.ndarray, spectral_radius: float) -> np.ndarray:
+    """Unit, non-negative leading eigenvector of ``adj``, which it overwrites.
+
+    Three steps of inverse iteration on A - sigma*I from the uniform
+    vector, with sigma = lambda_1 * (1 + 1e-9) written into the zero
+    diagonal.  A connected graph on n >= 2 nodes has lambda_1 >= 1, so
+    sigma clears lambda_1 by at least 1e-9, far above eigvalsh's error,
+    and each step grows the iterate at most 1e9-fold.
+    """
+    np.fill_diagonal(adj, -spectral_radius * (1.0 + 1e-9))
+    x = np.ones(len(adj))
+    for _ in range(3):
+        x = np.linalg.solve(adj, x)
+    x = np.abs(x)
+    return x / np.linalg.norm(x)
+
+
+def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the adjacency and Laplacian matrices."""
+    return _spectra(_adjacency(g), g.degrees)
 
 
 def spectral_features(g: Graph) -> SpectralStats:
@@ -347,8 +338,10 @@ def spectral_features(g: Graph) -> SpectralStats:
     """
     if g.node_count < 2:
         raise ValueError("spectral features need at least 2 nodes")
-    eva, evl = graph_spectra(g)
+    return _spectral_stats(*graph_spectra(g))
 
+
+def _spectral_stats(eva: np.ndarray, evl: np.ndarray) -> SpectralStats:
     # overflow-safe cosh/exp ratio: factor out exp(max eigenvalue)
     shift = eva[-1]
     grown = np.exp(eva - shift)
@@ -467,19 +460,25 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     diameter, median_geo, std_geo = _distance_stats(hist)
     timings["distance"] = time.perf_counter() - t0
 
+    # one dense adjacency serves both eigenvalue calls and the eigenvector
+    # solves; the eigenvector's time is booked to the spectral group
     t0 = time.perf_counter()
-    cent = _centrality_from(g, csr, dist_sums, bc, deadline)
+    adj = _adjacency(g)
+    eva, evl = _spectra(adj, degrees)
+    spec = _spectral_stats(eva, evl)
+    eigen = _leading_eigenvector(adj, eva[-1])
+    del adj
+    timings["spectral"] = time.perf_counter() - t0
+    deadline.check()
+
+    t0 = time.perf_counter()
+    cent = _centrality_from(g, dist_sums, bc, eigen)
     timings["centrality"] = time.perf_counter() - t0
     deadline.check()
 
     t0 = time.perf_counter()
     clustering = _global_clustering(g)
     timings["clustering"] = time.perf_counter() - t0
-    deadline.check()
-
-    t0 = time.perf_counter()
-    spec = spectral_features(g)
-    timings["spectral"] = time.perf_counter() - t0
     deadline.check()
 
     t0 = time.perf_counter()

@@ -52,9 +52,10 @@ class TestPreconditions:
         with pytest.raises(DisconnectedGraphError):
             compute_features(two_triangles)
 
-    def test_single_node_rejected(self):
+    @pytest.mark.parametrize("extract", [compute_features, centrality_stats])
+    def test_single_node_rejected(self, extract):
         with pytest.raises(ValueError):
-            compute_features(Graph(1, []))
+            extract(Graph(1, []))
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_timeout_rejected(self, k3, timeout):
@@ -182,6 +183,19 @@ class TestShortestPathSweep:
             _shortest_path_sweep(*_csr(two_triangles), _Deadline(None))
 
 
+# Long paths (small spectral gaps), a star, a complete bipartite graph and
+# an even cycle, beside two random graphs.
+EIGENVECTOR_GRAPHS = {
+    "gnp24_s21": lambda: connected_gnp(24, 0.3, seed=21),
+    "gnp24_s22": lambda: connected_gnp(24, 0.3, seed=22),
+    "p100": lambda: generate("path", 100),
+    "p200": lambda: generate("path", 200),
+    "s50": lambda: generate("star", 50),
+    "k5_7": lambda: from_networkx(nx.complete_bipartite_graph(5, 7), name="k5_7"),
+    "c4": lambda: generate("cycle", 4),
+}
+
+
 class TestCentralities:
     def test_path_betweenness_hand_values(self, p3):
         stats = centrality_stats(p3)
@@ -194,13 +208,15 @@ class TestCentralities:
         assert stats.median_betweenness == 0.0
         assert stats.median_degree == pytest.approx(1.0 / 6.0)
 
-    def test_vertex_transitive_graphs_have_zero_spread(self, k5, c5):
-        for g in (k5, c5):
+    def test_vertex_transitive_graphs_have_zero_spread(self, k5, c5, c4):
+        for g in (k5, c5, c4):
             stats = centrality_stats(g)
             assert stats.std_betweenness < 1e-9
             assert stats.std_closeness < 1e-9
             assert stats.std_degree < 1e-9
             assert stats.std_eigenvector < 1e-9
+        # the leading eigenvector is uniform, 1/sqrt(4) on every node of C4
+        assert centrality_stats(c4).median_eigenvector == pytest.approx(0.5, abs=1e-12)
 
     def test_disconnected_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
@@ -219,9 +235,9 @@ class TestCentralities:
         assert stats.median_closeness == pytest.approx(float(np.median(cc)), abs=1e-9)
         assert stats.std_closeness == pytest.approx(float(np.std(cc)), abs=1e-9)
 
-    @pytest.mark.parametrize("seed", [21, 22])
-    def test_eigenvector_matches_dense_eigendecomposition(self, seed):
-        g = connected_gnp(24, 0.3, seed=seed)
+    @pytest.mark.parametrize("name", sorted(EIGENVECTOR_GRAPHS))
+    def test_eigenvector_matches_dense_eigendecomposition(self, name):
+        g = EIGENVECTOR_GRAPHS[name]()
         adj = np.zeros((g.node_count, g.node_count))
         for u, v in g.edges:
             adj[u, v] = adj[v, u] = 1.0
@@ -230,14 +246,8 @@ class TestCentralities:
         if lead.sum() < 0:
             lead = -lead
         stats = centrality_stats(g)
-        assert stats.median_eigenvector == pytest.approx(float(np.median(lead)), abs=1e-6)
-        assert stats.std_eigenvector == pytest.approx(float(np.std(lead)), abs=1e-6)
-
-    def test_bipartite_power_iteration_converges(self, c4):
-        # adjacency spectrum is symmetric here; the shifted iteration still settles
-        stats = centrality_stats(c4)
-        assert stats.median_eigenvector == pytest.approx(0.5, abs=1e-7)
-        assert stats.std_eigenvector < 1e-7
+        assert stats.median_eigenvector == pytest.approx(float(np.median(lead)), abs=1e-12)
+        assert stats.std_eigenvector == pytest.approx(float(np.std(lead)), abs=1e-12)
 
 
 class TestClustering:

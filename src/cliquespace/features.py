@@ -4,12 +4,16 @@ Every feature is polynomial-time: counting and degree statistics are
 linear; girth, the geodesic-distance statistics, closeness and
 betweenness all come from one breadth-first search per source over a
 CSR adjacency built once per instance, O(|V|*|E|) in total; and the
-spectral block takes the eigenvalues of one dense adjacency matrix and
-of its Laplacian, then solves that matrix for eigenvector centrality.
+spectral block fills one dense n-by-n buffer from that CSR, takes the
+adjacency eigenvalues, solves the shifted adjacency for eigenvector
+centrality, then overwrites the buffer with the Laplacian for its
+eigenvalues.  The block holds that buffer plus LAPACK's working copy,
+two dense matrices, never a third.
 A single wall-clock budget covers the whole computation; instances that
 blow it raise :class:`~cliquespace.errors.FeatureTimeoutError` so a
-corpus run can exclude them instead of stalling.  Neither a dense
-eigenvalue call nor a dense solve can be interrupted by the budget.
+corpus run can exclude them instead of stalling.  The budget is checked
+before the spectral block, but neither a dense eigenvalue call nor a
+dense solve can be interrupted by it.
 """
 
 from __future__ import annotations
@@ -259,9 +263,9 @@ def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
         raise ValueError("centrality statistics need at least 2 nodes")
     if not validate_connected(g):
         raise DisconnectedGraphError("centrality statistics need a connected graph")
-    _, _, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(timeout))
-    adj = _adjacency(g)
-    eigen = _leading_eigenvector(adj, np.linalg.eigvalsh(adj)[-1])
+    csr = _csr(g)
+    _, _, dist_sums, bc = _shortest_path_sweep(*csr, _Deadline(timeout))
+    _, _, eigen = _dense_spectra(*csr)
     return _centrality_from(g, dist_sums, bc, eigen)
 
 
@@ -291,28 +295,17 @@ def _global_clustering(g: Graph) -> float:
     return triangles3 / wedges if wedges else 0.0
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    n = g.node_count
-    adj = np.zeros((n, n))
-    for u, v in iter_edges(g):
-        adj[u, v] = adj[v, u] = 1.0
-    return adj
-
-
-def _spectra(adj: np.ndarray, degrees) -> tuple[np.ndarray, np.ndarray]:
-    # the Laplacian is freed on return, before any solve on ``adj``
-    lap = np.diag(np.asarray(degrees, dtype=float)) - adj
-    return np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
-
-
 def _leading_eigenvector(adj: np.ndarray, spectral_radius: float) -> np.ndarray:
-    """Unit, non-negative leading eigenvector of ``adj``, which it overwrites.
+    """Unit, non-negative leading eigenvector of the adjacency ``adj``.
 
     Three steps of inverse iteration on A - sigma*I from the uniform
     vector, with sigma = lambda_1 * (1 + 1e-9) written into the zero
-    diagonal.  A connected graph on n >= 2 nodes has lambda_1 >= 1, so
-    sigma clears lambda_1 by at least 1e-9, far above eigvalsh's error,
-    and each step grows the iterate at most 1e9-fold.
+    diagonal of ``adj`` and left there; :func:`_dense_spectra` then
+    overwrites the whole buffer with the Laplacian.  Each solve factors
+    its own copy, so the solves hold the buffer plus one more n-by-n
+    matrix, as ``eigvalsh`` does.  A graph with an edge has
+    lambda_1 >= 1, so sigma clears lambda_1 by at least 1e-9, far above
+    eigvalsh's error, and each step grows the iterate at most 1e9-fold.
     """
     np.fill_diagonal(adj, -spectral_radius * (1.0 + 1e-9))
     x = np.ones(len(adj))
@@ -322,9 +315,34 @@ def _leading_eigenvector(adj: np.ndarray, spectral_radius: float) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def _dense_spectra(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(adjacency eigenvalues, Laplacian eigenvalues, leading eigenvector)``.
+
+    One dense buffer is filled from the CSR and serves all three: the
+    adjacency eigenvalues, then the eigenvector solves, then the buffer
+    is overwritten in place with the Laplacian diag(d) - A.  ``0 - x``
+    rather than ``-x`` keeps the absent edges at +0.0, so the Laplacian
+    is bitwise the one ``np.diag(d) - A`` builds.  At most the buffer and
+    one LAPACK copy of it are alive at once.  The eigenvector is None on
+    a graph with no edge, where it is not unique and A - sigma*I is 0.
+    """
+    n = len(indptr) - 1
+    degrees = np.diff(indptr)
+    buf = np.zeros((n, n))
+    buf[np.repeat(np.arange(n), degrees), indices] = 1.0
+    eva = np.linalg.eigvalsh(buf)
+    eigen = _leading_eigenvector(buf, eva[-1]) if indices.size else None
+    np.subtract(0.0, buf, out=buf)
+    np.fill_diagonal(buf, degrees)
+    return eva, np.linalg.eigvalsh(buf), eigen
+
+
 def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the adjacency and Laplacian matrices."""
-    return _spectra(_adjacency(g), g.degrees)
+    eva, evl, _ = _dense_spectra(*_csr(g))
+    return eva, evl
 
 
 def spectral_features(g: Graph) -> SpectralStats:
@@ -459,15 +477,15 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     girth, hist, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
     diameter, median_geo, std_geo = _distance_stats(hist)
     timings["distance"] = time.perf_counter() - t0
+    # the spectral block cannot be interrupted, so an instance already
+    # over budget must not start it
+    deadline.check()
 
-    # one dense adjacency serves both eigenvalue calls and the eigenvector
-    # solves; the eigenvector's time is booked to the spectral group
+    # the eigenvector solves share the dense buffer, so their time is
+    # booked to the spectral group
     t0 = time.perf_counter()
-    adj = _adjacency(g)
-    eva, evl = _spectra(adj, degrees)
+    eva, evl, eigen = _dense_spectra(*csr)
     spec = _spectral_stats(eva, evl)
-    eigen = _leading_eigenvector(adj, eva[-1])
-    del adj
     timings["spectral"] = time.perf_counter() - t0
     deadline.check()
 

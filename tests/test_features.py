@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import asdict
 
 import numpy as np
 import networkx as nx
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquespace import features
 from cliquespace.errors import DisconnectedGraphError, FeatureTimeoutError
 from cliquespace.features import (
     FEATURE_NAMES,
@@ -70,6 +73,24 @@ class TestPreconditions:
         g = connected_gnp(60, 0.5, seed=7)
         with pytest.raises(FeatureTimeoutError):
             compute_features(g, timeout=1e-9)
+
+    def test_budget_checked_before_spectral_block(self, monkeypatch, k5):
+        # the sweep returns true values but leaves the budget spent; the
+        # eigenvalue calls that follow cannot be interrupted, so none may start
+        real_sweep = features._shortest_path_sweep
+
+        def slow_sweep(indptr, indices, deadline):
+            result = real_sweep(indptr, indices, deadline)
+            time.sleep(0.1)
+            return result
+
+        def no_eigvalsh(a):
+            pytest.fail("eigvalsh ran after the budget was spent")
+
+        monkeypatch.setattr(features, "_shortest_path_sweep", slow_sweep)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        with pytest.raises(FeatureTimeoutError):
+            compute_features(k5, timeout=0.05)
 
 
 class TestCountsAndDegrees:
@@ -248,6 +269,17 @@ class TestCentralities:
         stats = centrality_stats(g)
         assert stats.median_eigenvector == pytest.approx(float(np.median(lead)), abs=1e-12)
         assert stats.std_eigenvector == pytest.approx(float(np.std(lead)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(EIGENVECTOR_GRAPHS))
+    def test_public_helpers_agree_with_compute_features(self, name):
+        g = EIGENVECTOR_GRAPHS[name]()
+        fv = compute_features(g)
+        spec = asdict(spectral_features(g))
+        assert len(spec) == 13
+        assert {k: getattr(fv, k) for k in spec} == spec
+        stats = centrality_stats(g)
+        assert fv.median_eigenvector_centrality == stats.median_eigenvector
+        assert fv.std_eigenvector_centrality == stats.std_eigenvector
 
 
 class TestClustering:

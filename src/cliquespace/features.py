@@ -32,13 +32,10 @@ from .graph import Graph, greedy_clique, iter_bits, iter_edges, validate_connect
 __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
-    "CentralityStats",
     "SpectralStats",
     "compute_features",
-    "centrality_stats",
     "graph_spectra",
     "spectral_features",
-    "mcp_specific_features",
     "write_features_csv",
     "read_features_csv",
 ]
@@ -104,18 +101,6 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 
 
 @dataclass(frozen=True)
-class CentralityStats:
-    median_betweenness: float
-    std_betweenness: float
-    median_closeness: float
-    std_closeness: float
-    median_degree: float
-    std_degree: float
-    median_eigenvector: float
-    std_eigenvector: float
-
-
-@dataclass(frozen=True)
 class SpectralStats:
     even_closed_walk_proportion: float
     spectral_radius: float
@@ -135,14 +120,14 @@ class SpectralStats:
 class _Deadline:
     """Wall-clock budget shared by every feature group of one instance."""
 
-    def __init__(self, seconds: float | None):
-        # None is unlimited; a nan or inf limit would never fire, so refuse it
-        if seconds is not None and not 0 < seconds < math.inf:
+    def __init__(self, seconds: float):
+        # a nan or inf limit would never fire, so refuse it
+        if not 0 < seconds < math.inf:
             raise ValueError(f"timeout must be positive and finite, got {seconds!r}")
-        self.limit = None if seconds is None else time.perf_counter() + seconds
+        self.limit = time.perf_counter() + seconds
 
     def check(self) -> None:
-        if self.limit is not None and time.perf_counter() > self.limit:
+        if time.perf_counter() > self.limit:
             raise FeatureTimeoutError("feature computation exceeded its time budget")
 
 
@@ -155,13 +140,6 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         count=int(indptr[-1]),
     )
     return indptr, indices
-
-
-def _neighbor_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
-    """Each node's ascending neighbor list, sliced out of the CSR."""
-    bounds = indptr.tolist()
-    flat = indices.tolist()
-    return [flat[bounds[v] : bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
@@ -234,46 +212,9 @@ def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
     return 0.0 if math.isinf(girth) else float(girth), hist, dist_sums, bc
 
 
-def _centrality_from(g: Graph, dist_sums, bc, eigen) -> CentralityStats:
-    n = g.node_count
-    closeness = (n - 1) / dist_sums
-    degree_centrality = np.asarray(g.degrees, dtype=float) / (n - 1)
-    return CentralityStats(
-        median_betweenness=float(np.median(bc)),
-        std_betweenness=float(np.std(bc)),
-        median_closeness=float(np.median(closeness)),
-        std_closeness=float(np.std(closeness)),
-        median_degree=float(np.median(degree_centrality)),
-        std_degree=float(np.std(degree_centrality)),
-        median_eigenvector=float(np.median(eigen)),
-        std_eigenvector=float(np.std(eigen)),
-    )
-
-
-def centrality_stats(g: Graph, timeout: float | None = None) -> CentralityStats:
-    """Medians and population standard deviations of four node centralities.
-
-    Betweenness uses Brandes' shortest-path accumulation; closeness is
-    (n-1) over the sum of distances; degree centrality is degree/(n-1);
-    eigenvector centrality solves a dense adjacency matrix built here,
-    which ``timeout`` cannot interrupt.  Requires a connected graph with
-    at least 2 nodes so closeness and betweenness are well-defined.
-    """
-    if g.node_count < 2:
-        raise ValueError("centrality statistics need at least 2 nodes")
-    if not validate_connected(g):
-        raise DisconnectedGraphError("centrality statistics need a connected graph")
-    csr = _csr(g)
-    _, _, dist_sums, bc = _shortest_path_sweep(*csr, _Deadline(timeout))
-    _, _, eigen = _dense_spectra(*csr)
-    return _centrality_from(g, dist_sums, bc, eigen)
-
-
 def _distance_stats(hist: np.ndarray) -> tuple[float, float, float]:
     """(diameter, median, std) of geodesic distances from their histogram."""
     total = int(hist.sum())
-    if total == 0:
-        return 0.0, 0.0, 0.0
     n = hist.size
     diameter = float(np.max(np.nonzero(hist)[0]))
     values = np.arange(n, dtype=float)
@@ -386,55 +327,46 @@ def _spectral_stats(eva: np.ndarray, evl: np.ndarray) -> SpectralStats:
     )
 
 
-def _k_core_number(nbrs: list[list[int]]) -> int:
+def _k_core_number(g: Graph) -> int:
     """Largest k with a non-empty subgraph of minimum degree k (peeling)."""
-    n = len(nbrs)
-    degree = [len(a) for a in nbrs]
-    max_deg = max(degree) if degree else 0
-    buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
+    degree = list(g.degrees)
+    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
     for v, d in enumerate(degree):
         buckets[d].append(v)
-    removed = bytearray(n)
+    alive = (1 << g.node_count) - 1
     core = 0
-    for _ in range(n):
+    for _ in range(g.node_count):
         d = 0
         while not buckets[d]:
             d += 1
         v = buckets[d].pop()
-        if removed[v]:
+        if not alive >> v & 1:
             continue
         # stale entries are skipped above; d is v's current degree
         core = max(core, d)
-        removed[v] = 1
-        for w in nbrs[v]:
-            if not removed[w]:
-                degree[w] -= 1
-                buckets[degree[w]].append(w)
+        alive ^= 1 << v
+        for w in iter_bits(g.adj_bits[v] & alive):
+            degree[w] -= 1
+            buckets[degree[w]].append(w)
     return core
 
 
-def _greedy_coloring_count(nbrs: list[list[int]]) -> int:
-    """Colors used by largest-degree-first sequential coloring."""
-    order = sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v))
-    color = [-1] * len(nbrs)
-    used_total = 0
-    for v in order:
-        taken = {color[w] for w in nbrs[v] if color[w] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-        used_total = max(used_total, c + 1)
-    return used_total
+def _greedy_coloring_count(g: Graph) -> int:
+    """Colors used by largest-degree-first sequential coloring.
 
-
-def _clique_features(g: Graph, nbrs: list[list[int]]) -> tuple[int, int]:
-    return _k_core_number(nbrs), _greedy_coloring_count(nbrs) - len(greedy_clique(g))
-
-
-def mcp_specific_features(g: Graph) -> tuple[int, int]:
-    """(k-core number, greedy chromatic estimate minus greedy clique size)."""
-    return _clique_features(g, _neighbor_lists(*_csr(g)))
+    Each color is a bitmask of its vertices; a vertex joins the first
+    class holding none of its neighbors, which is its smallest free color.
+    """
+    classes: list[int] = []
+    for v in sorted(range(g.node_count), key=lambda v: (-g.degrees[v], v)):
+        nbrs = g.adj_bits[v]
+        for c, members in enumerate(classes):
+            if not members & nbrs:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def _pop_median_std(values: np.ndarray) -> tuple[float, float]:
@@ -458,15 +390,17 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     timings: dict[str, float] = {}
     n = g.node_count
 
-    # the one walk over the neighbor bitmasks; its time is booked to the
-    # degree group
+    # the CSR that the sweep and the spectral block share is built once;
+    # its time is booked to the degree group
     t0 = time.perf_counter()
-    csr = _csr(g)
-    nbrs = _neighbor_lists(*csr)
+    indptr, indices = csr = _csr(g)
     density = 2.0 * g.edge_count / (n * (n - 1))
     degrees = np.asarray(g.degrees, dtype=float)
     median_degree, std_degree = _pop_median_std(degrees)
-    neighbor_medians = np.array([np.median(degrees[a]) for a in nbrs])
+    bounds = indptr.tolist()
+    neighbor_medians = np.array(
+        [np.median(degrees[indices[a:b]]) for a, b in zip(bounds, bounds[1:])]
+    )
     med_nbr_med, std_nbr_med = _pop_median_std(neighbor_medians)
     timings["degree"] = time.perf_counter() - t0
     deadline.check()
@@ -490,7 +424,10 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     deadline.check()
 
     t0 = time.perf_counter()
-    cent = _centrality_from(g, dist_sums, bc, eigen)
+    med_bc, std_bc = _pop_median_std(bc)
+    med_cc, std_cc = _pop_median_std((n - 1) / dist_sums)
+    med_dc, std_dc = _pop_median_std(degrees / (n - 1))
+    med_ec, std_ec = _pop_median_std(eigen)
     timings["centrality"] = time.perf_counter() - t0
     deadline.check()
 
@@ -500,7 +437,8 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     deadline.check()
 
     t0 = time.perf_counter()
-    k_core, chrom_gap = _clique_features(g, nbrs)
+    k_core = _k_core_number(g)
+    chrom_gap = _greedy_coloring_count(g) - len(greedy_clique(g))
     timings["clique"] = time.perf_counter() - t0
     deadline.check()
 
@@ -510,14 +448,14 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
         density=density,
         girth=girth,
         diameter=diameter,
-        median_betweenness_centrality=cent.median_betweenness,
-        median_closeness_centrality=cent.median_closeness,
-        median_degree_centrality=cent.median_degree,
-        median_eigenvector_centrality=cent.median_eigenvector,
-        std_betweenness_centrality=cent.std_betweenness,
-        std_closeness_centrality=cent.std_closeness,
-        std_degree_centrality=cent.std_degree,
-        std_eigenvector_centrality=cent.std_eigenvector,
+        median_betweenness_centrality=med_bc,
+        median_closeness_centrality=med_cc,
+        median_degree_centrality=med_dc,
+        median_eigenvector_centrality=med_ec,
+        std_betweenness_centrality=std_bc,
+        std_closeness_centrality=std_cc,
+        std_degree_centrality=std_dc,
+        std_eigenvector_centrality=std_ec,
         median_degree=median_degree,
         std_degree=std_degree,
         median_median_neighbor_degree=med_nbr_med,

@@ -16,10 +16,8 @@ from cliquespace.features import (
     _csr,
     _Deadline,
     _shortest_path_sweep,
-    centrality_stats,
     compute_features,
     greedy_clique,
-    mcp_specific_features,
     read_features_csv,
     spectral_features,
     write_features_csv,
@@ -55,19 +53,14 @@ class TestPreconditions:
         with pytest.raises(DisconnectedGraphError):
             compute_features(two_triangles)
 
-    @pytest.mark.parametrize("extract", [compute_features, centrality_stats])
-    def test_single_node_rejected(self, extract):
+    def test_single_node_rejected(self):
         with pytest.raises(ValueError):
-            extract(Graph(1, []))
+            compute_features(Graph(1, []))
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_timeout_rejected(self, k3, timeout):
         with pytest.raises(ValueError, match="timeout"):
             compute_features(k3, timeout=timeout)
-
-    def test_nan_centrality_timeout_rejected(self, k3):
-        with pytest.raises(ValueError, match="timeout"):
-            centrality_stats(k3, timeout=math.nan)
 
     def test_budget_overrun_raises(self):
         g = connected_gnp(60, 0.5, seed=7)
@@ -177,7 +170,7 @@ class TestShortestPathSweep:
         g = from_networkx(G, name=name)
         H = to_networkx(g)
         assert nx.girth(H) == girth
-        sweep_girth, hist, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(None))
+        sweep_girth, hist, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(60.0))
         assert sweep_girth == float(girth)
         lengths = dict(nx.all_pairs_shortest_path_length(H))
         pair_dists = [lengths[u][v] for u in H for v in H if u < v]
@@ -191,17 +184,16 @@ class TestShortestPathSweep:
         fv = compute_features(g)
         assert fv.girth == float(girth)
         assert fv.diameter == float(nx.diameter(H))
-        stats = centrality_stats(g)
-        assert stats.median_betweenness == pytest.approx(
+        assert fv.median_betweenness_centrality == pytest.approx(
             float(np.median(list(expected_bc.values()))), abs=1e-12
         )
-        assert stats.median_closeness == pytest.approx(
+        assert fv.median_closeness_centrality == pytest.approx(
             float(np.median(list(expected_cc.values()))), abs=1e-12
         )
 
     def test_disconnected_csr_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
-            _shortest_path_sweep(*_csr(two_triangles), _Deadline(None))
+            _shortest_path_sweep(*_csr(two_triangles), _Deadline(60.0))
 
 
 # Long paths (small spectral gaps), a star, a complete bipartite graph and
@@ -219,42 +211,42 @@ EIGENVECTOR_GRAPHS = {
 
 class TestCentralities:
     def test_path_betweenness_hand_values(self, p3):
-        stats = centrality_stats(p3)
+        fv = compute_features(p3)
         # centre node carries the single 0-2 geodesic: values (0, 1, 0)
-        assert stats.median_betweenness == 0.0
-        assert stats.std_betweenness == pytest.approx(math.sqrt(2.0) / 3.0)
+        assert fv.median_betweenness_centrality == 0.0
+        assert fv.std_betweenness_centrality == pytest.approx(math.sqrt(2.0) / 3.0)
 
     def test_star_betweenness_median_is_zero(self, star7):
-        stats = centrality_stats(star7)
-        assert stats.median_betweenness == 0.0
-        assert stats.median_degree == pytest.approx(1.0 / 6.0)
+        fv = compute_features(star7)
+        assert fv.median_betweenness_centrality == 0.0
+        assert fv.median_degree_centrality == pytest.approx(1.0 / 6.0)
 
     def test_vertex_transitive_graphs_have_zero_spread(self, k5, c5, c4):
         for g in (k5, c5, c4):
-            stats = centrality_stats(g)
-            assert stats.std_betweenness < 1e-9
-            assert stats.std_closeness < 1e-9
-            assert stats.std_degree < 1e-9
-            assert stats.std_eigenvector < 1e-9
+            fv = compute_features(g)
+            assert fv.std_betweenness_centrality < 1e-9
+            assert fv.std_closeness_centrality < 1e-9
+            assert fv.std_degree_centrality < 1e-9
+            assert fv.std_eigenvector_centrality < 1e-9
         # the leading eigenvector is uniform, 1/sqrt(4) on every node of C4
-        assert centrality_stats(c4).median_eigenvector == pytest.approx(0.5, abs=1e-12)
+        assert compute_features(c4).median_eigenvector_centrality == pytest.approx(0.5, abs=1e-12)
 
     def test_disconnected_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
-            centrality_stats(two_triangles)
+            compute_features(two_triangles)
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_betweenness_and_closeness_match_networkx(self, seed):
         g = connected_gnp(30, 0.2, seed=seed)
         G = to_networkx(g)
-        stats = centrality_stats(g)
+        fv = compute_features(g)
         bc = np.array([nx.betweenness_centrality(G, normalized=True)[v]
                        for v in range(g.node_count)])
         cc = np.array([nx.closeness_centrality(G)[v] for v in range(g.node_count)])
-        assert stats.median_betweenness == pytest.approx(float(np.median(bc)), abs=1e-9)
-        assert stats.std_betweenness == pytest.approx(float(np.std(bc)), abs=1e-9)
-        assert stats.median_closeness == pytest.approx(float(np.median(cc)), abs=1e-9)
-        assert stats.std_closeness == pytest.approx(float(np.std(cc)), abs=1e-9)
+        assert fv.median_betweenness_centrality == pytest.approx(float(np.median(bc)), abs=1e-9)
+        assert fv.std_betweenness_centrality == pytest.approx(float(np.std(bc)), abs=1e-9)
+        assert fv.median_closeness_centrality == pytest.approx(float(np.median(cc)), abs=1e-9)
+        assert fv.std_closeness_centrality == pytest.approx(float(np.std(cc)), abs=1e-9)
 
     @pytest.mark.parametrize("name", sorted(EIGENVECTOR_GRAPHS))
     def test_eigenvector_matches_dense_eigendecomposition(self, name):
@@ -266,9 +258,11 @@ class TestCentralities:
         lead = vecs[:, -1]
         if lead.sum() < 0:
             lead = -lead
-        stats = centrality_stats(g)
-        assert stats.median_eigenvector == pytest.approx(float(np.median(lead)), abs=1e-12)
-        assert stats.std_eigenvector == pytest.approx(float(np.std(lead)), abs=1e-12)
+        fv = compute_features(g)
+        assert fv.median_eigenvector_centrality == pytest.approx(
+            float(np.median(lead)), abs=1e-12
+        )
+        assert fv.std_eigenvector_centrality == pytest.approx(float(np.std(lead)), abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(EIGENVECTOR_GRAPHS))
     def test_public_helpers_agree_with_compute_features(self, name):
@@ -277,9 +271,6 @@ class TestCentralities:
         spec = asdict(spectral_features(g))
         assert len(spec) == 13
         assert {k: getattr(fv, k) for k in spec} == spec
-        stats = centrality_stats(g)
-        assert fv.median_eigenvector_centrality == stats.median_eigenvector
-        assert fv.std_eigenvector_centrality == stats.std_eigenvector
 
 
 class TestClustering:
@@ -355,15 +346,15 @@ class TestSpectralFeatures:
 class TestMcpSpecificFeatures:
     def test_c5_walkthrough(self, c5):
         # coloring needs 3 colors on an odd cycle; greedy clique stops at an edge
-        k_core, gap = mcp_specific_features(c5)
-        assert k_core == 2
-        assert gap == 1
+        fv = compute_features(c5)
+        assert fv.k_core_number == 2
+        assert fv.chromatic_minus_greedy_clique_gap == 1
         assert len(greedy_clique(c5)) == 2
 
     def test_complete_graph_gap_zero(self, k5):
-        k_core, gap = mcp_specific_features(k5)
-        assert k_core == 4
-        assert gap == 0
+        fv = compute_features(k5)
+        assert fv.k_core_number == 4
+        assert fv.chromatic_minus_greedy_clique_gap == 0
         assert greedy_clique(k5) == [0, 1, 2, 3, 4]
 
     def test_greedy_clique_is_a_clique(self):
@@ -378,12 +369,10 @@ class TestMcpSpecificFeatures:
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_k_core_matches_networkx(self, seed):
         g = connected_gnp(40, 0.3, seed=seed)
-        k_core, _ = mcp_specific_features(g)
-        assert k_core == max(nx.core_number(to_networkx(g)).values())
+        assert compute_features(g).k_core_number == max(nx.core_number(to_networkx(g)).values())
 
     def test_star_k_core_is_one(self, star7):
-        k_core, _ = mcp_specific_features(star7)
-        assert k_core == 1
+        assert compute_features(star7).k_core_number == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_chromatic_estimate_matches_networkx_largest_first(self, seed):
@@ -393,9 +382,8 @@ class TestMcpSpecificFeatures:
             G, strategy=lambda G, c: sorted(G, key=lambda v: (-G.degree(v), v))
         )
         colors = max(coloring.values()) + 1
-        _, gap = mcp_specific_features(g)
+        gap = compute_features(g).chromatic_minus_greedy_clique_gap
         assert gap + len(greedy_clique(g)) == colors
-        assert compute_features(g).chromatic_minus_greedy_clique_gap == float(gap)
 
 
 class TestCsvRoundTrip:

@@ -62,6 +62,10 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="timeout"):
             compute_features(k3, timeout=timeout)
 
+    def test_deadline_has_no_unlimited_budget(self):
+        with pytest.raises(TypeError):
+            _Deadline(None)
+
     def test_budget_overrun_raises(self):
         g = connected_gnp(60, 0.5, seed=7)
         with pytest.raises(FeatureTimeoutError):
@@ -102,6 +106,20 @@ class TestCountsAndDegrees:
         assert fv.std_median_neighbor_degree == pytest.approx(
             math.sqrt(1050.0 / 343.0), abs=1e-12
         )
+
+    def test_neighbor_degree_medians_match_networkx(self):
+        for seed in (21, 22, 23):
+            g = connected_gnp(40, 0.15, seed=seed)
+            G = to_networkx(g)
+            medians = np.array([float(np.median([G.degree(u) for u in G[v]]))
+                                for v in range(g.node_count)])
+            fv = compute_features(g)
+            assert fv.median_median_neighbor_degree == pytest.approx(
+                float(np.median(medians)), abs=1e-12
+            )
+            assert fv.std_median_neighbor_degree == pytest.approx(
+                float(np.std(medians)), abs=1e-12
+            )
 
     def test_density_of_cycle(self, c5):
         fv = compute_features(c5)

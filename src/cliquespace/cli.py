@@ -20,15 +20,9 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CampaignFailureError, CliquespaceError, ConfigError, PipelineError
-from .features import FEATURE_NAMES, read_features_csv
 from .graph import parse_path
-from .isa import project_many, read_projection_model
 from .pipeline import STAGE_ORDER, load_config, require_budget, resolve_solver, run_pipeline
-from .selector import predict as selector_predict
-from .selector import read_selector_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +75,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    # numpy and the model code load here, so the other commands start without them
+    import numpy as np
+
+    from .features import FEATURE_NAMES, read_features_csv
+    from .isa import project_many, read_projection_model
+    from .selector import predict as selector_predict
+    from .selector import read_selector_model
+
     model = read_selector_model(args.model)
     ids, X, _ = read_features_csv(args.features)
     if not ids:

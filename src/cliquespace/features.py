@@ -335,7 +335,8 @@ def _k_core_number(g: Graph) -> int:
         buckets[d].append(v)
     alive = (1 << g.node_count) - 1
     core = 0
-    for _ in range(g.node_count):
+    # pops of stale entries peel nothing, so count live nodes, not pops
+    while alive:
         d = 0
         while not buckets[d]:
             d += 1

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import importlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .artifacts import read_artifact_meta, read_model, read_table, write_table
-from .bench import PerformanceMatrix, map_jobs, read_journal, run_campaign
 from .errors import (
     CampaignFailureError,
     CliquespaceError,
@@ -33,33 +32,54 @@ from .errors import (
     ModelFormatError,
     PipelineError,
 )
-from .features import (
-    FEATURE_NAMES,
-    compute_features,
-    read_features_csv,
-    write_features_csv,
-)
 from .graph import parse_path
-from .isa import (
-    apply_normalization,
-    cloister_boundary,
-    fit_normalization,
-    fit_projection,
-    footprint,
-    polygon_area,
-    project_many,
-    read_projection_model,
-    sifted_select,
-    write_projection_model,
-)
-from .selector import (
-    evaluate_topk,
-    read_selector_model,
-    train,
-    write_selector_model,
-)
 from .solvers import BUILTIN_SOLVER_IDS, make_builtin
 from .solvers.external import check_template, run_external
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .bench import PerformanceMatrix
+
+# The stage code, and numpy with it, loads on first use, so that
+# ``load_config``, ``cliquespace solve`` and ``--help`` start without it.
+# Each name still becomes a module global looked up at call time, so a
+# wrapper installed on this module (perfbench/spans.py times the layers
+# this way) takes effect, whether it was set before or after the load.
+_DEFERRED = {
+    ".bench": ("PerformanceMatrix", "map_jobs", "read_journal", "run_campaign"),
+    ".features": ("FEATURE_NAMES", "compute_features", "read_features_csv", "write_features_csv"),
+    ".isa": (
+        "apply_normalization",
+        "cloister_boundary",
+        "fit_normalization",
+        "fit_projection",
+        "footprint",
+        "polygon_area",
+        "project_many",
+        "read_projection_model",
+        "sifted_select",
+        "write_projection_model",
+    ),
+    ".selector": ("evaluate_topk", "read_selector_model", "train", "write_selector_model"),
+}
+
+
+def _load_stages() -> None:
+    """Import the stage modules and bind their names here, keeping any
+    name already bound (a wrapper installed before the first load)."""
+    for module, names in _DEFERRED.items():
+        loaded = importlib.import_module(module, __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _DEFERRED.values()):
+        _load_stages()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TOOL_VERSION = f"cliquespace/{__version__}"
 
@@ -253,6 +273,8 @@ def _usable_instances(config: PipelineConfig) -> list[tuple[str, Path]]:
 
 def read_projections(path: Path) -> tuple[list[str], np.ndarray, list[str], dict]:
     """Returns (instance ids, N x 2 coordinates, best solver ids, meta)."""
+    import numpy as np
+
     meta, rows = read_table(
         path,
         _PROJECTION_COLUMNS,
@@ -698,6 +720,7 @@ def run_pipeline(
     naming any stage upstream of a requested one that is not current.
     """
     config.validate()
+    _load_stages()
     emit = log or (lambda msg: None)
     if stages is None:
         requested = list(STAGE_ORDER)

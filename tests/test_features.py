@@ -25,6 +25,7 @@ from cliquespace.features import (
 from cliquespace.graph import Graph, generate
 
 from oracles import connected_gnp, from_networkx, to_networkx
+from test_acceptance import _bipartite_trap
 
 
 class TestFeatureVectorShape:
@@ -384,10 +385,18 @@ class TestMcpSpecificFeatures:
                 for v in clique[i + 1:]:
                     assert g.has_edge(u, v)
 
-    @pytest.mark.parametrize("seed", [61, 62, 63])
-    def test_k_core_matches_networkx(self, seed):
-        g = connected_gnp(40, 0.3, seed=seed)
-        assert compute_features(g).k_core_number == max(nx.core_number(to_networkx(g)).values())
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(pytest.param(connected_gnp(40, 0.3, seed=seed), id=str(seed)) for seed in (61, 62, 63)),
+            # K7 bridged to K9,9 and a disconnected G(17, 0.1): pops of stale
+            # bucket entries must not end the peel while live nodes remain
+            pytest.param(_bipartite_trap(7, 9), id="trap_7_9"),
+            pytest.param(from_networkx(nx.gnp_random_graph(17, 0.1, seed=191)), id="gnp_17_191"),
+        ],
+    )
+    def test_k_core_matches_networkx(self, g):
+        assert features._k_core_number(g) == max(nx.core_number(to_networkx(g)).values())
 
     def test_star_k_core_is_one(self, star7):
         assert compute_features(star7).k_core_number == 1

@@ -1,6 +1,8 @@
 """Config parsing, stage orchestration, artifact caching, and the CLI."""
 
 import dataclasses
+import json
+import os
 import shutil
 import subprocess
 import sys
@@ -796,3 +798,110 @@ def test_console_script_is_installed():
     )
     assert result.returncode == 0
     assert "ingest" in result.stdout and "predict" in result.stdout
+
+
+# ------------------------------------------------------- deferred stage code
+
+_STAGE_MODULES = (
+    "numpy",
+    "cliquespace.bench",
+    "cliquespace.features",
+    "cliquespace.isa",
+    "cliquespace.selector",
+    "cliquespace.report",
+)
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter on this package; returns its last
+    stdout line."""
+    src = str(Path(pipeline.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        "import cliquespace\n"
+        "from cliquespace.pipeline import load_config\n"
+        "load_config(sys.argv[1])",
+        "from cliquespace.cli import main\n"
+        "assert main(['solve', '--solver', 'exact', '--instance', sys.argv[2]]) == 0",
+        "from cliquespace.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0",
+    ],
+    ids=["load_config", "solve", "help"],
+)
+def test_startup_loads_no_stage_code(tmp_path, action):
+    (tmp_path / "corpus").mkdir()
+    instance = tmp_path / "corpus" / "k5.clq"
+    instance.write_text(serialize(generate("complete", 5), GraphFormat.DIMACS_CLQ))
+    code = (
+        f"import json, sys\n{action}\n"
+        f"print(json.dumps([m for m in {_STAGE_MODULES!r} if m in sys.modules]))"
+    )
+    assert json.loads(_run_fresh(code, str(write_config(tmp_path)), str(instance))) == []
+
+
+def test_read_projections_without_a_pipeline_run(completed_pipeline):
+    _, config, _, count = completed_pipeline
+    code = (
+        "import json, sys\n"
+        "from cliquespace.pipeline import read_projections\n"
+        "ids, coords, best, _ = read_projections(sys.argv[1])\n"
+        "print(json.dumps([len(ids), list(coords.shape), len(best)]))"
+    )
+    shape = _run_fresh(code, str(config.artifact("projections.csv")))
+    assert json.loads(shape) == [count, [count, 2], count]
+
+
+@pytest.mark.parametrize("how", ["setattr", "assign"])
+def test_wrappers_on_pipeline_names_run(tmp_path, how):
+    """perfbench/spans.py replaces stage names on the pipeline module; a
+    wrapper set before the stage code loads, or after, must be the one called."""
+    count = write_corpus(tmp_path / "corpus")
+    code = """
+import json, sys
+from collections import Counter
+from cliquespace import pipeline
+
+calls = Counter()
+
+def counting(name, original):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+if sys.argv[2] == "setattr":
+    # as spans._wrap does: the getattr loads the stage code first
+    for name in ("compute_features", "train", "make_builtin"):
+        setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+else:
+    assert "compute_features" not in vars(pipeline)
+    from cliquespace.features import compute_features
+    from cliquespace.selector import train
+    from cliquespace.solvers import make_builtin
+    pipeline.compute_features = counting("compute_features", compute_features)
+    pipeline.train = counting("train", train)
+    pipeline.make_builtin = counting("make_builtin", make_builtin)
+pipeline.run_pipeline(pipeline.load_config(sys.argv[1]))
+print(json.dumps(calls))
+"""
+    calls = json.loads(_run_fresh(code, str(write_config(tmp_path)), how))
+    assert calls["compute_features"] == count
+    assert calls["train"] == 1
+    assert calls["make_builtin"] > 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .errors import DisconnectedGraphError, FeatureTimeoutError
-from .graph import Graph, greedy_clique, iter_bits, iter_edges, validate_connected
+from .graph import Graph, greedy_clique, iter_bits, iter_edges, peel_below, validate_connected
 
 __all__ = [
     "FEATURE_NAMES",
@@ -330,25 +330,11 @@ def _spectral_stats(eva: np.ndarray, evl: np.ndarray) -> SpectralStats:
 def _k_core_number(g: Graph) -> int:
     """Largest k with a non-empty subgraph of minimum degree k (peeling)."""
     degree = list(g.degrees)
-    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
-    for v, d in enumerate(degree):
-        buckets[d].append(v)
     alive = (1 << g.node_count) - 1
     core = 0
-    # pops of stale entries peel nothing, so count live nodes, not pops
     while alive:
-        d = 0
-        while not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        if not alive >> v & 1:
-            continue
-        # stale entries are skipped above; d is v's current degree
-        core = max(core, d)
-        alive ^= 1 << v
-        for w in iter_bits(g.adj_bits[v] & alive):
-            degree[w] -= 1
-            buckets[degree[w]].append(w)
+        core = min(degree[v] for v in iter_bits(alive))
+        alive = peel_below(g.adj_bits, alive, degree, core + 1)
     return core
 
 

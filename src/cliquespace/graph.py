@@ -32,6 +32,7 @@ __all__ = [
     "iter_edges",
     "most_connected",
     "greedy_clique",
+    "peel_below",
 ]
 
 
@@ -165,6 +166,22 @@ def greedy_clique(g: Graph) -> list[int]:
         clique.append(v)
         cand &= adj[v]
     return sorted(clique)
+
+
+def peel_below(adj, alive: int, degree: list[int], k: int) -> int:
+    """The live vertices left once every vertex of degree below ``k`` in
+    the live graph is removed, cascading.  ``degree`` holds the live
+    degrees of ``alive`` and is kept up to date.  A vertex is stacked
+    only when its degree first drops below ``k``, so at most once."""
+    stack = [v for v in iter_bits(alive) if degree[v] < k]
+    while stack:
+        v = stack.pop()
+        alive ^= 1 << v
+        for w in iter_bits(adj[v] & alive):
+            degree[w] -= 1
+            if degree[w] == k - 1:
+                stack.append(w)
+    return alive
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import random
 import time
 
-from ..graph import Graph, greedy_clique, iter_bits, most_connected
+from ..graph import Graph, greedy_clique, iter_bits, most_connected, peel_below
 
 # a local-search round after the first grows by the best of this many sampled candidates
 _SAMPLES = 64
@@ -87,19 +87,9 @@ def solve_local_search(
     def reduce_below(threshold: int) -> None:
         # peel every vertex and edge that cannot appear in a clique larger than threshold
         nonlocal alive
-        stack = [v for v in iter_bits(alive) if degree[v] + 1 <= threshold]
         changed = True
         while changed:
-            while stack:
-                v = stack.pop()
-                bit = 1 << v
-                if not alive & bit:
-                    continue
-                alive &= ~bit
-                for w in iter_bits(adj[v] & alive):
-                    degree[w] -= 1
-                    if degree[w] + 1 <= threshold:
-                        stack.append(w)
+            alive = peel_below(adj, alive, degree, threshold)
             changed = False
             for u in iter_bits(alive):
                 if time.perf_counter() > deadline:
@@ -108,11 +98,9 @@ def solve_local_search(
                     if (adj[u] & adj[v] & alive).bit_count() + 2 <= threshold:
                         adj[u] ^= 1 << v
                         adj[v] ^= 1 << u
+                        degree[u] -= 1
+                        degree[v] -= 1
                         changed = True
-                        for w in (u, v):
-                            degree[w] -= 1
-                            if degree[w] + 1 <= threshold:
-                                stack.append(w)
 
     round_idx = 0
     while alive:

@@ -1,11 +1,12 @@
 import math
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquespace import features
@@ -389,14 +390,26 @@ class TestMcpSpecificFeatures:
         "g",
         [
             *(pytest.param(connected_gnp(40, 0.3, seed=seed), id=str(seed)) for seed in (61, 62, 63)),
-            # K7 bridged to K9,9 and a disconnected G(17, 0.1): pops of stale
-            # bucket entries must not end the peel while live nodes remain
+            # K7 bridged to K9,9 and a disconnected G(17, 0.1): the peel must
+            # go on while any live node remains, not stop after n removals
             pytest.param(_bipartite_trap(7, 9), id="trap_7_9"),
             pytest.param(from_networkx(nx.gnp_random_graph(17, 0.1, seed=191)), id="gnp_17_191"),
         ],
     )
     def test_k_core_matches_networkx(self, g):
         assert features._k_core_number(g) == max(nx.core_number(to_networkx(g)).values())
+
+    def test_k_core_peel_allocates_little(self):
+        # the peel stacks each vertex at most once, so it holds O(n) entries;
+        # one entry per degree decrement would be O(m), about 1.4 MB here
+        g = generate("gnp", 400, p=0.9, seed=0)
+        tracemalloc.start()
+        try:
+            assert features._k_core_number(g) == 343
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
 
     def test_star_k_core_is_one(self, star7):
         assert compute_features(star7).k_core_number == 1
@@ -458,3 +471,115 @@ def test_feature_vector_is_finite_and_consistent(n, p, seed):
     # greedy coloring bounds the chromatic number from above, which bounds
     # the clique number from above, which bounds the greedy clique
     assert fv.chromatic_minus_greedy_clique_gap >= 0.0
+
+
+def _bridged(a: nx.Graph, b: nx.Graph) -> nx.Graph:
+    """Disjoint union of ``a`` and ``b`` plus the edge from a's node 0 to b's."""
+    G = nx.disjoint_union(a, b)
+    G.add_edge(0, a.number_of_nodes())
+    return G
+
+
+def _connected_nx_gnp(n: int, p: float, seed: int) -> nx.Graph:
+    return next(G for s in range(seed, seed + 1000)
+                if nx.is_connected(G := nx.gnp_random_graph(n, p, seed=s)))
+
+
+COMPOSED_GRAPHS = st.one_of(
+    st.builds(lambda k, f: _bridged(nx.complete_graph(k), nx.complete_bipartite_graph(f, f)),
+              st.integers(3, 9), st.integers(2, 9)),
+    st.builds(lambda a, b: _bridged(nx.complete_graph(a), nx.complete_graph(b)),
+              st.integers(2, 12), st.integers(2, 12)),
+    st.builds(lambda c, k: _bridged(nx.cycle_graph(c), nx.complete_graph(k)),
+              st.integers(3, 20), st.integers(2, 10)),
+    st.builds(lambda k, p, seed: nx.connected_watts_strogatz_graph(30, k, p, seed=seed),
+              st.sampled_from([2, 4, 6]), st.floats(0.0, 0.5), st.integers(0, 10_000)),
+    st.builds(lambda m, seed: nx.barabasi_albert_graph(30, m, seed=seed),
+              st.integers(1, 5), st.integers(0, 10_000)),
+    st.builds(_connected_nx_gnp, st.integers(4, 40), st.floats(0.2, 0.9), st.integers(0, 10_000)),
+)
+
+
+def _oracle_greedy_clique_size(G: nx.Graph) -> int:
+    # networkx has no greedy clique: this re-derives graph.greedy_clique's
+    # rule (most neighbours among the candidates, lowest id on ties)
+    cand, size = set(G), 0
+    while cand:
+        v = max(sorted(cand), key=lambda u: len(cand.intersection(G[u])))
+        cand &= set(G[v])
+        size += 1
+    return size
+
+
+def _oracle_features(G: nx.Graph) -> dict[str, float]:
+    n = G.number_of_nodes()
+    nodes = range(n)
+    degrees = np.array([G.degree(v) for v in nodes], dtype=float)
+    nbr_medians = np.array([np.median([G.degree(u) for u in G[v]]) for v in nodes])
+    lengths = dict(nx.all_pairs_shortest_path_length(G))
+    pair_dists = [lengths[u][v] for u in nodes for v in nodes if u < v]
+    girth = nx.girth(G)
+    bc = nx.betweenness_centrality(G, normalized=True)
+    cc = nx.closeness_centrality(G)
+    ec = nx.eigenvector_centrality_numpy(G)
+    eva = np.linalg.eigvalsh(nx.to_numpy_array(G, nodelist=nodes))
+    evl = np.linalg.eigvalsh(nx.laplacian_matrix(G, nodelist=nodes).toarray().astype(float))
+    colors = max(nx.greedy_color(G, strategy="largest_first").values()) + 1
+    out = {
+        "node_count": n,
+        "edge_count": G.number_of_edges(),
+        "density": nx.density(G),
+        "girth": 0.0 if girth == math.inf else girth,
+        "diameter": nx.diameter(G),
+        "global_clustering_coefficient": nx.transitivity(G),
+        "even_closed_walk_proportion": np.cosh(eva).sum() / np.exp(eva).sum(),
+        "spectral_radius": eva[-1],
+        "laplacian_spectral_radius": evl[-1],
+        "energy": np.abs(eva).sum(),
+        "std_adjacency_eigenvalues": np.std(eva),
+        # a connected graph has one zero Laplacian eigenvalue, so the
+        # nonzero ones start at index 1
+        "smallest_nonzero_laplacian": evl[1],
+        "second_smallest_nonzero_laplacian": evl[2],
+        "second_largest_laplacian": evl[-2],
+        "smallest_adjacency": eva[0],
+        "second_smallest_adjacency": eva[1],
+        "second_largest_adjacency": eva[-2],
+        "gap_largest_second_largest_adjacency": eva[-1] - eva[-2],
+        "gap_largest_smallest_laplacian": evl[-1] - evl[0],
+        "k_core_number": max(nx.core_number(G).values()),
+        "chromatic_minus_greedy_clique_gap": colors - _oracle_greedy_clique_size(G),
+    }
+    for name, values in [
+        ("betweenness_centrality", [bc[v] for v in nodes]),
+        ("closeness_centrality", [cc[v] for v in nodes]),
+        ("degree_centrality", degrees / (n - 1)),
+        ("eigenvector_centrality", [ec[v] for v in nodes]),
+        ("degree", degrees),
+        ("median_neighbor_degree", nbr_medians),
+        ("geodesic_distance", pair_dists),
+    ]:
+        out[f"median_{name}"] = np.median(values)
+        out[f"std_{name}"] = np.std(values)
+    return {k: float(v) for k, v in out.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@example(_bridged(nx.complete_graph(7), nx.complete_bipartite_graph(9, 9)))  # smoke's trap_7_9
+@given(COMPOSED_GRAPHS)
+def test_every_feature_matches_an_independent_oracle(G):
+    """All 35 features against networkx and numpy on composed families.
+
+    The graph features come from networkx, the spectra from ``eigvalsh``
+    of the networkx adjacency and Laplacian, and the chromatic estimate
+    from networkx's largest-first colouring.  No feature lacks an oracle,
+    but the greedy clique that the chromatic gap subtracts is re-derived
+    here from its rule, because networkx has no greedy clique.
+    """
+    g = from_networkx(G)
+    H = to_networkx(g)
+    fv = compute_features(g)
+    expected = _oracle_features(H)
+    assert set(expected) == set(FEATURE_NAMES)
+    for name in FEATURE_NAMES:
+        assert getattr(fv, name) == pytest.approx(expected[name], rel=1e-9, abs=1e-9), name

@@ -11,10 +11,15 @@ from cliquespace.graph import (
     GraphFormat,
     detect_format,
     generate,
+    iter_bits,
     parse_graph,
+    peel_below,
     serialize,
     validate_connected,
 )
+
+from oracles import from_networkx, to_networkx
+from test_acceptance import _bipartite_trap
 
 DIMACS_K3 = "c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -231,6 +236,44 @@ class TestConnectivity:
 
     def test_single_node_connected(self):
         assert validate_connected(Graph(1, []))
+
+
+def _assert_peels_to_networkx_k_cores(g: Graph) -> None:
+    """Peel below every k up to the top core number + 1, both from the
+    whole graph and on from the previous k's survivors, against
+    ``networkx.k_core``; ``degree`` must hold the live degrees after."""
+    G = to_networkx(g)
+    everyone = (1 << g.node_count) - 1
+    kept, kept_degree = everyone, list(g.degrees)
+    for k in range(max(nx.core_number(G).values()) + 2):
+        expected = set(nx.k_core(G, k))
+        degree = list(g.degrees)
+        fresh = peel_below(g.adj_bits, everyone, degree, k)
+        kept = peel_below(g.adj_bits, kept, kept_degree, k)
+        for alive, live_degree in ((fresh, degree), (kept, kept_degree)):
+            assert set(iter_bits(alive)) == expected, k
+            for v in iter_bits(alive):
+                assert live_degree[v] == (g.adj_bits[v] & alive).bit_count()
+
+
+class TestPeelBelow:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(_bipartite_trap(7, 9), id="trap_7_9"),
+            pytest.param(generate("star", 7), id="star7"),
+            # node 4 is isolated: it leaves at k = 1, the triangle at k = 3
+            pytest.param(Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)]), id="isolated_node"),
+        ],
+    )
+    def test_matches_networkx_k_core(self, g):
+        _assert_peels_to_networkx_k_cores(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), p=st.floats(0.0, 0.6), seed=st.integers(0, 10_000))
+    def test_matches_networkx_k_core_on_gnp(self, n, p, seed):
+        # low p gives disconnected draws and isolated nodes
+        _assert_peels_to_networkx_k_cores(from_networkx(nx.gnp_random_graph(n, p, seed=seed)))
 
 
 class TestSerialization:

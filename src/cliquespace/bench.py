@@ -19,7 +19,8 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "RunRecord",
     "PerformanceMatrix",
     "score_instance",
-    "label_good",
     "run_campaign",
     "map_jobs",
     "write_journal",
@@ -104,14 +104,18 @@ def score_instance(records: list[RunRecord]) -> dict[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class PerformanceMatrix:
-    """Per-(instance, solver) scores, labels, and per-instance winners."""
+    """Per-(instance, solver) scores; the good labels and the per-instance
+    winners are derived from them.  A matrix at another tolerance is
+    ``dataclasses.replace(matrix, tolerance=t)``."""
 
     instance_ids: tuple[str, ...]
     solver_ids: tuple[str, ...]  # lexicographic
     y: np.ndarray  # (instances, solvers); +inf marks failed/missing runs
-    good: np.ndarray  # boolean, same shape
-    best_solver: tuple[str, ...]
     tolerance: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ScoringError(f"tolerance must be non-negative and finite: {self.tolerance!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PerformanceMatrix):
@@ -120,10 +124,21 @@ class PerformanceMatrix:
             self.instance_ids == other.instance_ids
             and self.solver_ids == other.solver_ids
             and np.array_equal(self.y, other.y)
-            and np.array_equal(self.good, other.good)
-            and self.best_solver == other.best_solver
             and self.tolerance == other.tolerance
         )
+
+    @cached_property
+    def good(self) -> np.ndarray:
+        """Boolean, shape of ``y``: finite and within ``1 + tolerance`` of
+        the row's best score."""
+        finite = np.isfinite(self.y)
+        ymin = np.min(np.where(finite, self.y, np.inf), axis=1, initial=np.inf)
+        return finite & (self.y <= (1.0 + self.tolerance) * ymin[:, None])
+
+    @cached_property
+    def best_solver(self) -> tuple[str, ...]:
+        """Per instance, the solver of least score; ties go to the first id."""
+        return tuple(self.solver_ids[j] for j in np.argmin(self.y, axis=1))
 
     def y_of(self, instance_id: str, solver_id: str) -> float:
         i = self.instance_ids.index(instance_id)
@@ -151,24 +166,7 @@ class PerformanceMatrix:
             for j, s in enumerate(solver_ids):
                 if s in scores:
                     y[i, j] = scores[s]
-        good = _good_labels(y, tolerance)
-        best = tuple(solver_ids[int(np.argmin(y[i]))] for i in range(len(instance_ids)))
-        return cls(instance_ids, solver_ids, y, good, best, tolerance)
-
-
-def _good_labels(y: np.ndarray, tolerance: float) -> np.ndarray:
-    finite = np.isfinite(y)
-    ymin = np.where(finite.any(axis=1), np.min(np.where(finite, y, np.inf), axis=1), np.inf)
-    return finite & (y <= (1.0 + tolerance) * ymin[:, None])
-
-
-def label_good(
-    matrix: PerformanceMatrix, tolerance: float = DEFAULT_GOOD_TOLERANCE
-) -> PerformanceMatrix:
-    """Recompute binary good/bad labels at a new relative tolerance."""
-    if tolerance < 0:
-        raise ScoringError("tolerance must be non-negative")
-    return replace(matrix, good=_good_labels(matrix.y, tolerance), tolerance=tolerance)
+        return cls(instance_ids, solver_ids, y, tolerance)
 
 
 def write_journal(
@@ -232,10 +230,11 @@ def _load_instance(source) -> Graph:
 
 def map_jobs(fn, items, jobs: int) -> list:
     """``fn`` over ``items``, results in input order: serially when
-    ``jobs <= 1`` or fewer than two items, else on ``jobs`` threads."""
+    ``jobs <= 1`` or fewer than two items, else on one thread per job, CPU
+    and item, whichever count is least."""
     if jobs <= 1 or len(items) < 2:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -245,7 +244,6 @@ def run_campaign(
     budget: float,
     parallelism: int = 1,
     journal: str | Path | None = None,
-    tolerance: float = DEFAULT_GOOD_TOLERANCE,
     meta: dict[str, str] | None = None,
     log=None,
 ) -> tuple[PerformanceMatrix, list[RunRecord]]:
@@ -259,7 +257,8 @@ def run_campaign(
     or a result no run can produce (a clique size outside
     ``1..node_count``, a negative or non-finite wall time), becomes a
     failed record with the measured wall time, not a crash of the
-    campaign.
+    campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``; ``replace(matrix,
+    tolerance=t)`` relabels it.
     """
     if not corpus:
         raise ScoringError("corpus is empty")
@@ -332,5 +331,4 @@ def run_campaign(
         return record
 
     records = list(done.values()) + map_jobs(execute, pending, parallelism)
-    matrix = PerformanceMatrix.from_records(records, tolerance)
-    return matrix, records
+    return PerformanceMatrix.from_records(records), records

@@ -306,13 +306,7 @@ def _performance(config: PipelineConfig) -> PerformanceMatrix:
 def _aligned(matrix: PerformanceMatrix, ids: list[str]) -> PerformanceMatrix:
     """``matrix`` restricted to ``ids``, its rows in their order."""
     rows = _positions(matrix.instance_ids, ids, "runs.csv")
-    return replace(
-        matrix,
-        instance_ids=tuple(ids),
-        y=matrix.y[rows],
-        good=matrix.good[rows],
-        best_solver=tuple(matrix.best_solver[i] for i in rows),
-    )
+    return replace(matrix, instance_ids=tuple(ids), y=matrix.y[rows])
 
 
 def _features_with_runs(
@@ -424,7 +418,6 @@ def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
         budget=config.solver_budget,
         parallelism=config.jobs,
         journal=journal,
-        tolerance=config.good_tolerance,
         meta=meta,
         log=log,
     )
@@ -511,7 +504,8 @@ def _stage_isa_project(config: PipelineConfig, meta: dict, log) -> None:
     log(f"isa-project: {len(common)} instances mapped to the plane")
 
 
-def _footprint_rows(config: PipelineConfig, ids: list[str], Z: np.ndarray):
+def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
+    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
     matrix = _aligned(_performance(config), ids)
     boundary = cloister_boundary(Z)
     rows = []
@@ -521,18 +515,12 @@ def _footprint_rows(config: PipelineConfig, ids: list[str], Z: np.ndarray):
             (
                 solver_id,
                 int(matrix.good[:, j].sum()),
-                sum(1 for b in matrix.best_solver if b == solver_id),
+                matrix.best_solver.count(solver_id),
                 repr(fp.area),
                 repr(fp.density),
                 repr(fp.purity),
             )
         )
-    return rows, boundary
-
-
-def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
-    ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
-    rows, boundary = _footprint_rows(config, ids, Z)
     write_table(
         config.artifact("footprints.csv"),
         _FOOTPRINT_COLUMNS,
@@ -576,7 +564,9 @@ def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
     from .report import render_scatter
 
     ids, Z, best, _ = read_projections(config.artifact("projections.csv"))
-    rows, boundary = _footprint_rows(config, ids, Z)
+    footprints = config.artifact("footprints.csv")
+    _, rows = read_table(footprints, _FOOTPRINT_COLUMNS, PipelineError, list)
+    boundary = cloister_boundary(Z)
     model = read_selector_model(config.artifact("selector.isa"))
     inputs, _ = _selector_inputs(config, ids, Z)
     k = min(2, len(model.solver_ids))
@@ -669,9 +659,9 @@ _STAGES = {
         _Stage(
             "report",
             _stage_report,
-            _reads("projections.csv", "runs.csv", "selector.isa", "features.csv"),
+            _reads("projections.csv", "footprints.csv", "selector.isa", "features.csv"),
             ("report.csv", "scatter.svg"),
-            ("good_tolerance", "selector_input"),
+            ("selector_input",),
         ),
     )
 }

@@ -1,6 +1,8 @@
 import math
 import shlex
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from cliquespace.bench import (
     DEFAULT_GOOD_TOLERANCE,
     PerformanceMatrix,
     RunRecord,
-    label_good,
+    map_jobs,
     read_journal,
     run_campaign,
     score_instance,
@@ -87,37 +89,88 @@ class TestScoreInstance:
 
 
 class TestLabels:
-    def make_matrix(self, y_rows):
+    def make_matrix(self, y_rows, tolerance=0.05):
         y = np.array(y_rows, dtype=float)
-        solver_ids = tuple(f"s{j}" for j in range(y.shape[1]))
         return PerformanceMatrix(
             instance_ids=tuple(f"i{i}" for i in range(y.shape[0])),
-            solver_ids=solver_ids,
+            solver_ids=tuple(f"s{j}" for j in range(y.shape[1])),
             y=y,
-            good=np.zeros_like(y, dtype=bool),
-            best_solver=tuple(solver_ids[int(np.argmin(row))] for row in y),
-            tolerance=0.0,
+            tolerance=tolerance,
         )
 
     def test_clear_winner(self):
-        m = label_good(self.make_matrix([[0.5, 1.0]]), tolerance=0.05)
+        m = self.make_matrix([[0.5, 1.0]])
         assert m.good.tolist() == [[True, False]]
 
     def test_near_tie_both_good(self):
-        m = label_good(self.make_matrix([[0.50, 0.51]]), tolerance=0.05)
+        m = self.make_matrix([[0.50, 0.51]])
         assert m.good.tolist() == [[True, True]]
 
     def test_boundary_is_inclusive(self):
-        m = label_good(self.make_matrix([[0.5, 0.525]]), tolerance=0.05)
+        m = self.make_matrix([[0.5, 0.525]])
         assert m.good.tolist() == [[True, True]]
 
     def test_failed_runs_never_good(self):
-        m = label_good(self.make_matrix([[math.inf, math.inf]]), tolerance=0.05)
+        m = self.make_matrix([[math.inf, math.inf]])
         assert m.good.tolist() == [[False, False]]
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ScoringError):
-            label_good(self.make_matrix([[1.0]]), tolerance=-0.01)
+    def test_replace_relabels_at_the_new_tolerance(self):
+        m = self.make_matrix([[0.5, 0.51]], tolerance=0.0)
+        assert m.good.tolist() == [[True, False]]
+        assert replace(m, tolerance=0.05).good.tolist() == [[True, True]]
+
+    @pytest.mark.parametrize("tolerance", [-0.01, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ScoringError, match="tolerance"):
+            self.make_matrix([[1.0, 0.4]], tolerance=tolerance)
+        with pytest.raises(ScoringError, match="tolerance"):
+            PerformanceMatrix.from_records([rec("i", "a", 1, 1.0)], tolerance)
+        with pytest.raises(ScoringError, match="tolerance"):
+            replace(self.make_matrix([[1.0, 0.4]]), tolerance=tolerance)
+
+
+def _brute_labels(y, solver_ids, tolerance):
+    """The good labels and winners by their definition, one row at a time."""
+    good, best = [], []
+    for row in y.tolist():
+        finite = [v for v in row if v < math.inf]
+        ymin = min(finite, default=math.inf)
+        good.append([v < math.inf and v <= (1.0 + tolerance) * ymin for v in row])
+        best.append(solver_ids[min(range(len(row)), key=lambda j: (row[j], j))])
+    return good, tuple(best)
+
+
+_SCORES = st.one_of(st.sampled_from([0.5, 0.525, 1.0, math.inf]), st.floats(0.001, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    y_rows=st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.one_of(
+                st.lists(_SCORES, min_size=cols, max_size=cols),
+                st.just([math.inf] * cols),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    tolerance=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    data=st.data(),
+)
+def test_derived_labels_match_their_definition(y_rows, tolerance, data):
+    y = np.array(y_rows, dtype=float)
+    solver_ids = tuple(f"s{j}" for j in range(y.shape[1]))
+    m = PerformanceMatrix(tuple(f"i{i}" for i in range(len(y))), solver_ids, y, tolerance)
+    good, best = _brute_labels(y, solver_ids, tolerance)
+    assert m.good.tolist() == good
+    assert m.best_solver == best
+
+    # restricting the rows, then deriving, equals deriving, then restricting
+    rows = data.draw(st.permutations(range(len(y))))[: data.draw(st.integers(0, len(y)))]
+    sub = replace(m, instance_ids=tuple(m.instance_ids[i] for i in rows), y=m.y[rows])
+    assert sub.good.tolist() == m.good[rows].tolist()
+    assert sub.best_solver == tuple(m.best_solver[i] for i in rows)
 
 
 class TestPerformanceMatrix:
@@ -419,3 +472,41 @@ class TestRunCampaign:
         # a nan or inf budget would switch off every solver deadline
         with pytest.raises(ScoringError, match="positive and finite"):
             run_campaign(self.corpus(1), [("s", stub_solver(1, 1.0))], budget=budget)
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and maps
+    on the calling thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, items, workers",
+    [(8, 2, 5, 2), (3, 16, 5, 3), (8, 16, 4, 4), (4, None, 5, 1)],
+)
+def test_map_jobs_caps_its_pool(monkeypatch, jobs, cpus, items, workers):
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    threads = []
+
+    def square(x):
+        threads.append(threading.get_ident())
+        return x * x
+
+    assert map_jobs(square, list(range(items)), jobs) == [x * x for x in range(items)]
+    assert _SerialPool.sizes == [workers]
+    assert set(threads) == {threading.get_ident()}

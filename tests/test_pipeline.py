@@ -283,6 +283,25 @@ def test_report_summarizes_selector_and_footprints(completed_pipeline):
     assert "best solver" in svg  # legend title
 
 
+def _body(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_report_table_is_the_footprint_table(completed_pipeline):
+    _, config, _, _ = completed_pipeline
+    body = _body(config.artifact("footprints.csv"))
+    assert len(body) == 3  # the header and one row per solver
+    assert _body(config.artifact("report.csv")) == body
+
+
+def test_report_requires_the_footprint_table(completed_pipeline, tmp_path, capsys):
+    ini = _copy_campaign(completed_pipeline, tmp_path)
+    (ini.parent / "out" / "footprints.csv").unlink()
+    assert main(["run", "--config", str(ini), "--stages", "report"]) == 3
+    err = capsys.readouterr().err
+    assert "requires footprints.csv, produced by stage 'isa-footprint'" in err
+
+
 def test_rerun_skips_everything_and_reexecutes_nothing(completed_pipeline):
     tmp_path, config, _, _ = completed_pipeline
     journal_before = config.artifact("runs.csv").read_bytes()
@@ -465,8 +484,13 @@ _CORRELATION_EDIT = ("[run]", "[thresholds]\ncorrelation = 0.7\n\n[run]")
             ("features",) + STAGE_ORDER[3:],
             ("corpus.csv", "runs.csv"),
         ),
+        (
+            ("[run]", "[thresholds]\ngood_tolerance = 0.01\n\n[run]"),
+            ("isa-footprint", "train", "report"),
+            ("runs.csv", "sifted.csv", "projection.isa", "projections.csv"),
+        ),
     ],
-    ids=["correlation", "solver_budget", "feature_budget"],
+    ids=["correlation", "solver_budget", "feature_budget", "good_tolerance"],
 )
 def test_config_edit_reruns_only_the_stages_that_read_it(
     completed_pipeline, tmp_path, edit, ran, kept

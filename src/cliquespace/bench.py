@@ -190,7 +190,12 @@ def _record_from_row(row: list[str]) -> RunRecord:
     instance_id, solver_id, size, wall, proven, status = row
     if proven not in ("true", "false") or status not in ("ok", "failed"):
         raise ValueError("bad proven_optimal or status field")
-    return RunRecord(instance_id, solver_id, int(size), float(wall), proven == "true", status)
+    size, wall = int(size), float(wall)
+    # scores divide by the instance's largest wall time, so one nan or inf
+    # row would skew every solver's score on its instance
+    if not 0 <= wall < math.inf or size < 0:
+        raise ValueError(f"impossible clique size {size} or wall time {wall!r}")
+    return RunRecord(instance_id, solver_id, size, wall, proven == "true", status)
 
 
 def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .graph import Graph, greedy_clique, iter_bits, iter_edges, peel_below, vali
 __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
-    "SpectralStats",
     "compute_features",
     "graph_spectra",
     "spectral_features",
@@ -98,23 +98,6 @@ class FeatureVector:
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f.name for f in fields(FeatureVector) if f.name != "timings"
 )
-
-
-@dataclass(frozen=True)
-class SpectralStats:
-    even_closed_walk_proportion: float
-    spectral_radius: float
-    laplacian_spectral_radius: float
-    energy: float
-    std_adjacency_eigenvalues: float
-    smallest_nonzero_laplacian: float
-    second_smallest_nonzero_laplacian: float
-    second_largest_laplacian: float
-    smallest_adjacency: float
-    second_smallest_adjacency: float
-    second_largest_adjacency: float
-    gap_largest_second_largest_adjacency: float
-    gap_largest_smallest_laplacian: float
 
 
 class _Deadline:
@@ -212,30 +195,6 @@ def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
     return 0.0 if math.isinf(girth) else float(girth), hist, dist_sums, bc
 
 
-def _distance_stats(hist: np.ndarray) -> tuple[float, float, float]:
-    """(diameter, median, std) of geodesic distances from their histogram."""
-    total = int(hist.sum())
-    n = hist.size
-    diameter = float(np.max(np.nonzero(hist)[0]))
-    values = np.arange(n, dtype=float)
-    cum = np.cumsum(hist)
-    lo = int(np.searchsorted(cum, (total - 1) // 2 + 1))
-    hi = int(np.searchsorted(cum, total // 2 + 1))
-    median = float(values[lo] + values[hi]) / 2.0
-    mean = float(hist @ values) / total
-    var = float(hist @ (values - mean) ** 2) / total
-    return diameter, median, math.sqrt(var)
-
-
-def _global_clustering(g: Graph) -> float:
-    """Transitivity: 3 * triangles over the number of connected triples."""
-    triangles3 = 0  # every triangle is counted once per incident edge
-    for u, v in iter_edges(g):
-        triangles3 += (g.adj_bits[u] & g.adj_bits[v]).bit_count()
-    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
-    return triangles3 / wedges if wedges else 0.0
-
-
 def _leading_eigenvector(adj: np.ndarray, spectral_radius: float) -> np.ndarray:
     """Unit, non-negative leading eigenvector of the adjacency ``adj``.
 
@@ -286,45 +245,43 @@ def graph_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return eva, evl
 
 
-def spectral_features(g: Graph) -> SpectralStats:
+def spectral_features(g: Graph) -> SimpleNamespace:
     """Eigenvalue-derived features of the adjacency and Laplacian matrices.
 
     Uses one dense symmetric eigendecomposition per matrix.  Laplacian
     eigenvalues within ``1e-8 * max`` of zero count as zero when locating
     the smallest non-zero ones.  The even-closed-walk proportion is the
     factorially weighted ratio sum(cosh(lambda)) / sum(exp(lambda)) over
-    adjacency eigenvalues, which is 1 exactly on bipartite graphs.
+    adjacency eigenvalues, which is 1 exactly on bipartite graphs.  The
+    13 features are the namespace's attributes.
     """
     if g.node_count < 2:
         raise ValueError("spectral features need at least 2 nodes")
-    return _spectral_stats(*graph_spectra(g))
+    return SimpleNamespace(**_spectral_values(*graph_spectra(g)))
 
 
-def _spectral_stats(eva: np.ndarray, evl: np.ndarray) -> SpectralStats:
+def _spectral_values(eva: np.ndarray, evl: np.ndarray) -> dict[str, float]:
     # overflow-safe cosh/exp ratio: factor out exp(max eigenvalue)
     shift = eva[-1]
     grown = np.exp(eva - shift)
     shrunk = np.exp(-eva - shift)
-    even_proportion = float((0.5 * (grown + shrunk)).sum() / grown.sum())
-
     lap_max = float(evl[-1])
-    zero_tol = _LAPLACIAN_ZERO_RTOL * lap_max
-    nonzero = evl[evl > zero_tol]
-    return SpectralStats(
-        even_closed_walk_proportion=even_proportion,
-        spectral_radius=float(eva[-1]),
-        laplacian_spectral_radius=lap_max,
-        energy=float(np.abs(eva).sum()),
-        std_adjacency_eigenvalues=float(np.std(eva)),
-        smallest_nonzero_laplacian=float(nonzero[0]) if nonzero.size else 0.0,
-        second_smallest_nonzero_laplacian=float(nonzero[1]) if nonzero.size > 1 else 0.0,
-        second_largest_laplacian=float(evl[-2]),
-        smallest_adjacency=float(eva[0]),
-        second_smallest_adjacency=float(eva[1]),
-        second_largest_adjacency=float(eva[-2]),
-        gap_largest_second_largest_adjacency=float(eva[-1] - eva[-2]),
-        gap_largest_smallest_laplacian=float(evl[-1] - evl[0]),
-    )
+    nonzero = evl[evl > _LAPLACIAN_ZERO_RTOL * lap_max]
+    return {
+        "even_closed_walk_proportion": float((0.5 * (grown + shrunk)).sum() / grown.sum()),
+        "spectral_radius": float(eva[-1]),
+        "laplacian_spectral_radius": lap_max,
+        "energy": float(np.abs(eva).sum()),
+        "std_adjacency_eigenvalues": float(np.std(eva)),
+        "smallest_nonzero_laplacian": float(nonzero[0]) if nonzero.size else 0.0,
+        "second_smallest_nonzero_laplacian": float(nonzero[1]) if nonzero.size > 1 else 0.0,
+        "second_largest_laplacian": float(evl[-2]),
+        "smallest_adjacency": float(eva[0]),
+        "second_smallest_adjacency": float(eva[1]),
+        "second_largest_adjacency": float(eva[-2]),
+        "gap_largest_second_largest_adjacency": float(eva[-1] - eva[-2]),
+        "gap_largest_smallest_laplacian": float(evl[-1] - evl[0]),
+    }
 
 
 def _k_core_number(g: Graph) -> int:
@@ -356,8 +313,99 @@ def _greedy_coloring_count(g: Graph) -> int:
     return len(classes)
 
 
-def _pop_median_std(values: np.ndarray) -> tuple[float, float]:
-    return float(np.median(values)), float(np.std(values))
+def _median_std(name: str, values: np.ndarray) -> dict[str, float]:
+    return {f"median_{name}": float(np.median(values)), f"std_{name}": float(np.std(values))}
+
+
+def _degree_group(g: Graph, got: dict) -> dict[str, float]:
+    # the CSR that the sweep and the spectral block share is built here,
+    # so its time is booked to the degree group
+    n = g.node_count
+    indptr, indices = got["csr"] = _csr(g)
+    degrees = got["degrees"] = np.asarray(g.degrees, dtype=float)
+    bounds = indptr.tolist()
+    neighbor_medians = np.array(
+        [np.median(degrees[indices[a:b]]) for a, b in zip(bounds, bounds[1:])]
+    )
+    return {
+        "node_count": float(n),
+        "edge_count": float(g.edge_count),
+        "density": 2.0 * g.edge_count / (n * (n - 1)),
+        **_median_std("degree", degrees),
+        **_median_std("median_neighbor_degree", neighbor_medians),
+    }
+
+
+def _distance_group(g: Graph, got: dict) -> dict[str, float]:
+    """Girth, diameter and the median and std of geodesic distances.
+
+    The shared sweep also yields betweenness and closeness, so its time
+    is booked here; the distance statistics come from its histogram.
+    """
+    girth, hist, got["dist_sums"], got["betweenness"] = _shortest_path_sweep(
+        *got["csr"], got["deadline"]
+    )
+    total = int(hist.sum())
+    values = np.arange(hist.size, dtype=float)
+    cum = np.cumsum(hist)
+    lo = int(np.searchsorted(cum, (total - 1) // 2 + 1))
+    hi = int(np.searchsorted(cum, total // 2 + 1))
+    mean = float(hist @ values) / total
+    return {
+        "girth": girth,
+        "diameter": float(np.max(np.nonzero(hist)[0])),
+        "median_geodesic_distance": float(values[lo] + values[hi]) / 2.0,
+        "std_geodesic_distance": math.sqrt(float(hist @ (values - mean) ** 2) / total),
+    }
+
+
+def _spectral_group(g: Graph, got: dict) -> dict[str, float]:
+    # the eigenvector solves share the dense buffer, so their time is
+    # booked to the spectral group
+    eva, evl, got["eigenvector"] = _dense_spectra(*got["csr"])
+    return _spectral_values(eva, evl)
+
+
+def _centrality_group(g: Graph, got: dict) -> dict[str, float]:
+    n = g.node_count
+    return {
+        **_median_std("betweenness_centrality", got["betweenness"]),
+        **_median_std("closeness_centrality", (n - 1) / got["dist_sums"]),
+        **_median_std("degree_centrality", got["degrees"] / (n - 1)),
+        **_median_std("eigenvector_centrality", got["eigenvector"]),
+    }
+
+
+def _clustering_group(g: Graph, got: dict) -> dict[str, float]:
+    """Transitivity: 3 * triangles over the number of connected triples."""
+    triangles3 = 0  # every triangle is counted once per incident edge
+    for u, v in iter_edges(g):
+        triangles3 += (g.adj_bits[u] & g.adj_bits[v]).bit_count()
+    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
+    return {"global_clustering_coefficient": triangles3 / wedges if wedges else 0.0}
+
+
+def _clique_group(g: Graph, got: dict) -> dict[str, float]:
+    return {
+        "k_core_number": float(_k_core_number(g)),
+        "chromatic_minus_greedy_clique_gap": float(
+            _greedy_coloring_count(g) - len(greedy_clique(g))
+        ),
+    }
+
+
+# (timings key, group) in the order the groups run.  Each group takes the
+# graph and ``got``, a dict holding the deadline and what later groups read
+# from earlier ones (the CSR, degrees, distance sums, betweenness and the
+# eigenvector), and returns its own features.
+_GROUPS = (
+    ("degree", _degree_group),
+    ("distance", _distance_group),
+    ("spectral", _spectral_group),
+    ("centrality", _centrality_group),
+    ("clustering", _clustering_group),
+    ("clique", _clique_group),
+)
 
 
 def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
@@ -374,87 +422,17 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     if not validate_connected(g):
         raise DisconnectedGraphError(f"graph {g.name!r} is disconnected")
     deadline = _Deadline(timeout)
+    got: dict = {"deadline": deadline}
+    values: dict[str, float] = {}
     timings: dict[str, float] = {}
-    n = g.node_count
-
-    # the CSR that the sweep and the spectral block share is built once;
-    # its time is booked to the degree group
-    t0 = time.perf_counter()
-    indptr, indices = csr = _csr(g)
-    density = 2.0 * g.edge_count / (n * (n - 1))
-    degrees = np.asarray(g.degrees, dtype=float)
-    median_degree, std_degree = _pop_median_std(degrees)
-    bounds = indptr.tolist()
-    neighbor_medians = np.array(
-        [np.median(degrees[indices[a:b]]) for a, b in zip(bounds, bounds[1:])]
-    )
-    med_nbr_med, std_nbr_med = _pop_median_std(neighbor_medians)
-    timings["degree"] = time.perf_counter() - t0
-    deadline.check()
-
-    # the shared sweep also yields betweenness and closeness; its time
-    # is booked to the distance group
-    t0 = time.perf_counter()
-    girth, hist, dist_sums, bc = _shortest_path_sweep(*csr, deadline)
-    diameter, median_geo, std_geo = _distance_stats(hist)
-    timings["distance"] = time.perf_counter() - t0
-    # the spectral block cannot be interrupted, so an instance already
-    # over budget must not start it
-    deadline.check()
-
-    # the eigenvector solves share the dense buffer, so their time is
-    # booked to the spectral group
-    t0 = time.perf_counter()
-    eva, evl, eigen = _dense_spectra(*csr)
-    spec = _spectral_stats(eva, evl)
-    timings["spectral"] = time.perf_counter() - t0
-    deadline.check()
-
-    t0 = time.perf_counter()
-    med_bc, std_bc = _pop_median_std(bc)
-    med_cc, std_cc = _pop_median_std((n - 1) / dist_sums)
-    med_dc, std_dc = _pop_median_std(degrees / (n - 1))
-    med_ec, std_ec = _pop_median_std(eigen)
-    timings["centrality"] = time.perf_counter() - t0
-    deadline.check()
-
-    t0 = time.perf_counter()
-    clustering = _global_clustering(g)
-    timings["clustering"] = time.perf_counter() - t0
-    deadline.check()
-
-    t0 = time.perf_counter()
-    k_core = _k_core_number(g)
-    chrom_gap = _greedy_coloring_count(g) - len(greedy_clique(g))
-    timings["clique"] = time.perf_counter() - t0
-    deadline.check()
-
-    return FeatureVector(
-        node_count=float(n),
-        edge_count=float(g.edge_count),
-        density=density,
-        girth=girth,
-        diameter=diameter,
-        median_betweenness_centrality=med_bc,
-        median_closeness_centrality=med_cc,
-        median_degree_centrality=med_dc,
-        median_eigenvector_centrality=med_ec,
-        std_betweenness_centrality=std_bc,
-        std_closeness_centrality=std_cc,
-        std_degree_centrality=std_dc,
-        std_eigenvector_centrality=std_ec,
-        median_degree=median_degree,
-        std_degree=std_degree,
-        median_median_neighbor_degree=med_nbr_med,
-        std_median_neighbor_degree=std_nbr_med,
-        median_geodesic_distance=median_geo,
-        std_geodesic_distance=std_geo,
-        global_clustering_coefficient=clustering,
-        **asdict(spec),
-        k_core_number=float(k_core),
-        chromatic_minus_greedy_clique_gap=float(chrom_gap),
-        timings=timings,
-    )
+    for key, group in _GROUPS:
+        t0 = time.perf_counter()
+        values.update(group(g, got))
+        timings[key] = time.perf_counter() - t0
+        # the spectral block cannot be interrupted, so an instance already
+        # over budget after the distance group must not start it
+        deadline.check()
+    return FeatureVector(**values, timings=timings)
 
 
 def write_features_csv(

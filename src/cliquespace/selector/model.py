@@ -5,8 +5,10 @@ good/bad labels (one-vs-rest over the portfolio), with hyperparameters
 chosen by stratified cross-validation maximizing mean F1.  Solvers whose
 labels are degenerate (fewer than two good or two bad instances) get a
 constant-score classifier equal to their empirical good rate, which
-keeps them present in rankings.  Prediction ranks solvers by descending
-decision value with lexicographic tie-breaks.
+keeps them present in rankings; when every solver's labels are
+degenerate, the bank ranks the portfolio by good rate alone.
+Prediction ranks solvers by descending decision value with
+lexicographic tie-breaks.
 """
 
 from __future__ import annotations
@@ -126,7 +128,6 @@ def train(
     classifiers: dict = {}
     fold_log: dict = {}
     metadata: dict = {}
-    any_svm = False
     for s, solver_id in enumerate(solver_ids):
         labels = good[:, s]
         n_pos = int(labels.sum())
@@ -135,7 +136,6 @@ def train(
             classifiers[solver_id] = PriorClassifier(rate=n_pos / labels.shape[0])
             metadata[f"hyper.{solver_id}"] = "prior"
             continue
-        any_svm = True
         rng = random.Random(f"{seed}:{solver_id}")
         n_folds = min(5, n_pos, n_neg)
         folds = _stratified_folds(labels, n_folds, rng)
@@ -156,10 +156,6 @@ def train(
         c_val, gamma = best_hyper
         classifiers[solver_id] = train_svm(X, y_signed, C=c_val, gamma=gamma)
         metadata[f"hyper.{solver_id}"] = f"C={c_val:g} gamma={gamma:g} cv_f1={best_score:.4f}"
-    if not any_svm:
-        raise SelectorError(
-            "every solver has degenerate labels; nothing trainable in this corpus"
-        )
     return SelectorModel(
         input_space=input_space,
         feature_names=feature_names,

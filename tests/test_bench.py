@@ -284,6 +284,16 @@ class TestJournal:
         with pytest.raises(ScoringError, match=r"runs\.csv:4"):
             read_journal(path)
 
+    @pytest.mark.parametrize(
+        "size, wall", [("5", "nan"), ("5", "inf"), ("5", "-1.0"), ("-1", "1.0")]
+    )
+    def test_impossible_row_names_its_line(self, tmp_path, size, wall):
+        path = tmp_path / "runs.csv"
+        write_journal(path, [rec("i1", "A", 10, 1.0)], meta={"config": "deadbeef"})
+        path.write_text(path.read_text() + f"i1,B,{size},{wall},false,ok\r\n")
+        with pytest.raises(ScoringError, match=r"runs\.csv:4"):
+            read_journal(path)
+
 
 def stub_solver(size, seconds, fail=False, counter=None):
     def run(g, budget):

@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import networkx as nx
@@ -42,12 +41,23 @@ class TestFeatureVectorShape:
         for i, name in enumerate(FEATURE_NAMES):
             assert arr[i] == getattr(fv, name)
 
-    def test_timings_cover_every_group(self, k5):
+    def test_timings_cover_every_group_in_table_order(self, k5):
         fv = compute_features(k5)
-        assert set(fv.timings) == {
-            "degree", "distance", "centrality", "clustering", "spectral", "clique",
-        }
+        assert list(fv.timings) == [key for key, _ in features._GROUPS] == [
+            "degree", "distance", "spectral", "centrality", "clustering", "clique",
+        ]
         assert all(t >= 0.0 for t in fv.timings.values())
+
+    def test_groups_partition_the_feature_names(self, k5):
+        # compute_features merges the groups with dict.update, which would
+        # let a later group overwrite a name silently
+        got = {"deadline": _Deadline(60.0)}
+        seen: set[str] = set()
+        for key, group in features._GROUPS:
+            names = set(group(k5, got))
+            assert not names & seen, key
+            seen |= names
+        assert seen == set(FEATURE_NAMES)
 
 
 class TestPreconditions:
@@ -288,7 +298,7 @@ class TestCentralities:
     def test_public_helpers_agree_with_compute_features(self, name):
         g = EIGENVECTOR_GRAPHS[name]()
         fv = compute_features(g)
-        spec = asdict(spectral_features(g))
+        spec = vars(spectral_features(g))
         assert len(spec) == 13
         assert {k: getattr(fv, k) for k in spec} == spec
 

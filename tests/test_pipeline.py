@@ -19,6 +19,7 @@ from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
 from cliquespace.features import FEATURE_NAMES, read_features_csv
 from cliquespace.graph import GraphFormat, generate, serialize
+from cliquespace.selector import PriorClassifier, read_selector_model
 from cliquespace.pipeline import (
     STAGE_ORDER,
     PipelineConfig,
@@ -504,6 +505,20 @@ def test_config_edit_reruns_only_the_stages_that_read_it(
     if "runs.csv" in kept:
         assert not any("discarding stale journal" in line for line in logs)
     assert run_pipeline(config) == [(stage, "skipped") for stage in STAGE_ORDER]
+
+
+def test_all_degenerate_labels_reach_the_report(completed_pipeline, tmp_path):
+    # at this tolerance both solvers are good on every instance, so no
+    # solver has labels an SVM can fit; the priors still rank the portfolio
+    edit = ("[run]", "[thresholds]\ngood_tolerance = 0.5\n\n[run]")
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path, edit))
+    statuses = run_pipeline(config)
+    assert [stage for stage, status in statuses if status == "ran"] == [
+        "isa-footprint", "train", "report",
+    ]
+    model = read_selector_model(config.artifact("selector.isa"))
+    assert all(isinstance(clf, PriorClassifier) for clf in model.classifiers.values())
+    assert config.artifact("report.csv").is_file()
 
 
 def test_stale_upstream_stage_is_named(completed_pipeline, tmp_path, capsys):

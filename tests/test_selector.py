@@ -236,12 +236,18 @@ def test_degenerate_solver_gets_prior_classifier():
     assert scored["rare"] == pytest.approx(1 / 12)
 
 
-def test_all_degenerate_portfolio_rejected():
+def test_all_degenerate_portfolio_ranks_by_good_rate():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(12, 2))
-    good = np.ones((12, 2), dtype=bool)  # no negatives for either solver
-    with pytest.raises(SelectorError, match="degenerate"):
-        train(X, good, ["a", "b"], ["z1", "z2"], seed=0)
+    good = np.zeros((12, 3), dtype=bool)
+    good[:, :2] = True  # no negatives for "zeta" or "alpha"
+    good[4, 2] = True  # a single positive for "mid"
+    model = train(X, good, ["zeta", "alpha", "mid"], ["z1", "z2"], seed=0)
+    assert all(isinstance(clf, PriorClassifier) for clf in model.classifiers.values())
+    assert model.fold_log == {}
+    for x in X:
+        # equal good rates break toward the smaller id
+        assert predict(model, x) == [("alpha", 1.0), ("zeta", 1.0), ("mid", 1 / 12)]
 
 
 def test_training_preconditions():

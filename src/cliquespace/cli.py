@@ -75,6 +75,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
     # numpy and the model code load here, so the other commands start without them
     import numpy as np
 
@@ -98,7 +100,7 @@ def _cmd_predict(args) -> int:
     else:
         columns = [FEATURE_NAMES.index(n) for n in model.feature_names]
         inputs = X[:, columns]
-    top = max(1, min(args.top, len(model.solver_ids)))
+    top = min(args.top, len(model.solver_ids))
     for i, iid in enumerate(ids):
         ranking = selector_predict(model, np.asarray(inputs[i]))[:top]
         print(f"{iid}: " + " ".join(f"{sid}={score:.6f}" for sid, score in ranking))
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict_p.add_argument(
         "--projection", default="", help="projection model (default: next to --model)"
     )
-    predict_p.add_argument("--top", type=int, default=2)
+    predict_p.add_argument("--top", type=int, default=2, help="solvers to list, at least 1")
     predict_p.set_defaults(handler=_cmd_predict)
     return parser
 

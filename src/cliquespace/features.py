@@ -139,7 +139,7 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
 
 
 def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
-    """One breadth-first search per source, shared by four feature groups.
+    """One breadth-first search per source, for the distance group.
 
     Returns ``(girth, hist, dist_sums, betweenness)``: the shortest cycle
     length (0 when acyclic), the histogram of geodesic distances over
@@ -317,12 +317,10 @@ def _median_std(name: str, values: np.ndarray) -> dict[str, float]:
     return {f"median_{name}": float(np.median(values)), f"std_{name}": float(np.std(values))}
 
 
-def _degree_group(g: Graph, got: dict) -> dict[str, float]:
-    # the CSR that the sweep and the spectral block share is built here,
-    # so its time is booked to the degree group
+def _degree_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     n = g.node_count
-    indptr, indices = got["csr"] = _csr(g)
-    degrees = got["degrees"] = np.asarray(g.degrees, dtype=float)
+    indptr, indices = csr
+    degrees = np.asarray(g.degrees, dtype=float)
     bounds = indptr.tolist()
     neighbor_medians = np.array(
         [np.median(degrees[indices[a:b]]) for a, b in zip(bounds, bounds[1:])]
@@ -332,19 +330,15 @@ def _degree_group(g: Graph, got: dict) -> dict[str, float]:
         "edge_count": float(g.edge_count),
         "density": 2.0 * g.edge_count / (n * (n - 1)),
         **_median_std("degree", degrees),
+        **_median_std("degree_centrality", degrees / (n - 1)),
         **_median_std("median_neighbor_degree", neighbor_medians),
     }
 
 
-def _distance_group(g: Graph, got: dict) -> dict[str, float]:
-    """Girth, diameter and the median and std of geodesic distances.
-
-    The shared sweep also yields betweenness and closeness, so its time
-    is booked here; the distance statistics come from its histogram.
-    """
-    girth, hist, got["dist_sums"], got["betweenness"] = _shortest_path_sweep(
-        *got["csr"], got["deadline"]
-    )
+def _distance_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+    """Girth, diameter, geodesic distances, betweenness and closeness,
+    all from the one shortest-path sweep."""
+    girth, hist, dist_sums, betweenness = _shortest_path_sweep(*csr, deadline)
     total = int(hist.sum())
     values = np.arange(hist.size, dtype=float)
     cum = np.cumsum(hist)
@@ -356,27 +350,17 @@ def _distance_group(g: Graph, got: dict) -> dict[str, float]:
         "diameter": float(np.max(np.nonzero(hist)[0])),
         "median_geodesic_distance": float(values[lo] + values[hi]) / 2.0,
         "std_geodesic_distance": math.sqrt(float(hist @ (values - mean) ** 2) / total),
+        **_median_std("betweenness_centrality", betweenness),
+        **_median_std("closeness_centrality", (g.node_count - 1) / dist_sums),
     }
 
 
-def _spectral_group(g: Graph, got: dict) -> dict[str, float]:
-    # the eigenvector solves share the dense buffer, so their time is
-    # booked to the spectral group
-    eva, evl, got["eigenvector"] = _dense_spectra(*got["csr"])
-    return _spectral_values(eva, evl)
+def _spectral_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+    eva, evl, eigenvector = _dense_spectra(*csr)
+    return {**_spectral_values(eva, evl), **_median_std("eigenvector_centrality", eigenvector)}
 
 
-def _centrality_group(g: Graph, got: dict) -> dict[str, float]:
-    n = g.node_count
-    return {
-        **_median_std("betweenness_centrality", got["betweenness"]),
-        **_median_std("closeness_centrality", (n - 1) / got["dist_sums"]),
-        **_median_std("degree_centrality", got["degrees"] / (n - 1)),
-        **_median_std("eigenvector_centrality", got["eigenvector"]),
-    }
-
-
-def _clustering_group(g: Graph, got: dict) -> dict[str, float]:
+def _clustering_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     """Transitivity: 3 * triangles over the number of connected triples."""
     triangles3 = 0  # every triangle is counted once per incident edge
     for u, v in iter_edges(g):
@@ -385,7 +369,7 @@ def _clustering_group(g: Graph, got: dict) -> dict[str, float]:
     return {"global_clustering_coefficient": triangles3 / wedges if wedges else 0.0}
 
 
-def _clique_group(g: Graph, got: dict) -> dict[str, float]:
+def _clique_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     return {
         "k_core_number": float(_k_core_number(g)),
         "chromatic_minus_greedy_clique_gap": float(
@@ -395,14 +379,12 @@ def _clique_group(g: Graph, got: dict) -> dict[str, float]:
 
 
 # (timings key, group) in the order the groups run.  Each group takes the
-# graph and ``got``, a dict holding the deadline and what later groups read
-# from earlier ones (the CSR, degrees, distance sums, betweenness and the
-# eigenvector), and returns its own features.
+# graph, its CSR and the deadline, reads no other group's output, and
+# returns its own features.
 _GROUPS = (
     ("degree", _degree_group),
     ("distance", _distance_group),
     ("spectral", _spectral_group),
-    ("centrality", _centrality_group),
     ("clustering", _clustering_group),
     ("clique", _clique_group),
 )
@@ -422,12 +404,12 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
     if not validate_connected(g):
         raise DisconnectedGraphError(f"graph {g.name!r} is disconnected")
     deadline = _Deadline(timeout)
-    got: dict = {"deadline": deadline}
+    csr = _csr(g)
     values: dict[str, float] = {}
     timings: dict[str, float] = {}
     for key, group in _GROUPS:
         t0 = time.perf_counter()
-        values.update(group(g, got))
+        values.update(group(g, csr, deadline))
         timings[key] = time.perf_counter() - t0
         # the spectral block cannot be interrupted, so an instance already
         # over budget after the distance group must not start it

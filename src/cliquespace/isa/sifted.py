@@ -86,6 +86,8 @@ def _pam(dist: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
             medoids.sort()
             improved = True
     assignment = np.argmin(dist[:, medoids], axis=1)
+    # each medoid stays in its own cluster, even when tied at distance 0
+    assignment[medoids] = np.arange(k)
     return medoids, assignment
 
 

@@ -310,13 +310,18 @@ def _aligned(matrix: PerformanceMatrix, ids: list[str]) -> PerformanceMatrix:
 
 
 def _features_with_runs(
-    config: PipelineConfig,
+    config: PipelineConfig, log, stage: str
 ) -> tuple[list[str], np.ndarray, PerformanceMatrix]:
-    """The instances with both features and runs, sorted, with their
-    feature rows and their performance rows in that order."""
+    """The instances with features and a finite score, sorted, with their
+    feature rows and their performance rows in that order.  An instance
+    where every run failed has no best solver, so it is left out."""
     ids, X, _ = read_features_csv(config.artifact("features.csv"))
     matrix = _performance(config)
-    common = sorted(set(ids) & set(matrix.instance_ids))
+    both = set(ids) & set(matrix.instance_ids)
+    scored = {iid for iid, row in zip(matrix.instance_ids, matrix.y) if (row < math.inf).any()}
+    common = sorted(both & scored)
+    if len(common) < len(both):
+        log(f"{stage}: left out {len(both) - len(common)} instance(s) where every run failed")
     return common, X[_positions(ids, common, "features.csv")], _aligned(matrix, common)
 
 
@@ -436,10 +441,10 @@ def _bench_complete(config: PipelineConfig) -> bool:
 
 
 def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
-    common, Xa, matrix = _features_with_runs(config)
+    common, Xa, matrix = _features_with_runs(config, log, "isa-fit")
     if len(common) < 3:
         raise PipelineError(
-            "projection needs at least 3 instances with both features and runs"
+            "projection needs at least 3 instances with features and a successful run"
         )
 
     params = fit_normalization(Xa, FEATURE_NAMES)
@@ -450,13 +455,12 @@ def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
     selected = sift.selected
     fell_back = len(selected) < 2
     if fell_back:
-        # not enough signal to project; fall back to the wider set
-        wider = sift.kept_stage1 if len(sift.kept_stage1) >= 2 else params.feature_names
+        # under 2 features survived stage 1, so project from every feature
         log(
             f"isa-fit: selection kept {len(selected)} feature(s); "
-            f"falling back to {len(wider)}"
+            f"falling back to {len(params.feature_names)}"
         )
-        selected = wider
+        selected = params.feature_names
     columns = _positions(params.feature_names, selected, "normalization")
     model = fit_projection(Xn[:, columns], selected, params)
 
@@ -487,9 +491,9 @@ def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
 
 
 def _stage_isa_project(config: PipelineConfig, meta: dict, log) -> None:
-    common, Xa, matrix = _features_with_runs(config)
+    common, Xa, matrix = _features_with_runs(config, log, "isa-project")
     if not common:
-        raise PipelineError("no instance has both features and runs")
+        raise PipelineError("no instance has features and a successful run")
     model = read_projection_model(config.artifact("projection.isa"))
     Z = project_many(model, Xa, FEATURE_NAMES)
     write_table(

@@ -44,17 +44,17 @@ class TestFeatureVectorShape:
     def test_timings_cover_every_group_in_table_order(self, k5):
         fv = compute_features(k5)
         assert list(fv.timings) == [key for key, _ in features._GROUPS] == [
-            "degree", "distance", "spectral", "centrality", "clustering", "clique",
+            "degree", "distance", "spectral", "clustering", "clique",
         ]
         assert all(t >= 0.0 for t in fv.timings.values())
 
     def test_groups_partition_the_feature_names(self, k5):
         # compute_features merges the groups with dict.update, which would
         # let a later group overwrite a name silently
-        got = {"deadline": _Deadline(60.0)}
+        csr = _csr(k5)
         seen: set[str] = set()
         for key, group in features._GROUPS:
-            names = set(group(k5, got))
+            names = set(group(k5, csr, _Deadline(60.0)))
             assert not names & seen, key
             seen |= names
         assert seen == set(FEATURE_NAMES)
@@ -593,3 +593,15 @@ def test_every_feature_matches_an_independent_oracle(G):
     assert set(expected) == set(FEATURE_NAMES)
     for name in FEATURE_NAMES:
         assert getattr(fv, name) == pytest.approx(expected[name], rel=1e-9, abs=1e-9), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(COMPOSED_GRAPHS)
+def test_each_group_alone_matches_compute_features(G):
+    # a group needs only the graph and its CSR, so computing a subset of
+    # the groups gives the same values as the full vector
+    g = from_networkx(G)
+    fv = compute_features(g)
+    for key, group in features._GROUPS:
+        values = group(g, _csr(g), _Deadline(60.0))
+        assert values == {name: getattr(fv, name) for name in values}, key

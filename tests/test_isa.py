@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.spatial
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquespace.errors import (
@@ -209,6 +209,31 @@ def test_duplicate_features_collapse_to_one_medoid():
     assert "noisy" in result.selected
     # base and doubled are perfectly correlated: exactly one survives
     assert sum(name in result.selected for name in ("base", "doubled")) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=2, max_size=7),
+            st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=3),
+        )
+    ),
+    st.floats(0.0, 0.95),
+)
+# three identical columns: every pair is at distance 0
+@example(data=([[0, 1, 1], [0, 1, 1], [0, 1, 1]], [[0, 0, 0]]), threshold=0.0)
+def test_two_or_more_stage_one_survivors_give_two_or_more_selected(data, threshold):
+    # isa-fit projects from every feature only when fewer than 2 are
+    # selected, which therefore means fewer than 2 survived stage 1
+    columns, scores = data
+    features = np.array(columns, dtype=float).T
+    y = np.array(scores, dtype=float).T
+    names = [f"f{j}" for j in range(features.shape[1])]
+    result = sifted_select(features, names, y, threshold=threshold)
+    if len(result.kept_stage1) >= 2:
+        assert len(result.selected) >= 2
+        assert len(set(result.selected)) == len(result.selected)
 
 
 def test_failed_runs_masked_pairwise():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from cliquespace import pipeline
-from cliquespace.artifacts import read_model
-from cliquespace.bench import read_journal
+from cliquespace.artifacts import read_model, read_table
+from cliquespace.bench import read_journal, write_journal
 from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
 from cliquespace.features import FEATURE_NAMES, read_features_csv
@@ -781,6 +781,34 @@ def test_cli_malformed_artifact_names_its_line(
     assert f"{artifact}:{line}:" in capsys.readouterr().err
 
 
+def test_instance_where_every_run_failed_is_left_out(completed_pipeline, tmp_path):
+    # such an instance has no best solver: an argmin over its all-inf row
+    # would credit it to the first solver id
+    source, _, _, count = completed_pipeline
+    work = tmp_path / "campaign"
+    shutil.copytree(source, work)
+    config = load_config(work / "campaign.ini")
+    journal = config.artifact("runs.csv")
+    records, meta = read_journal(journal)
+    victim = records[0].instance_id
+    failed = dict(clique_size=0, proven_optimal=False, status="failed")
+    write_journal(
+        journal,
+        [replace(r, **failed) if r.instance_id == victim else r for r in records],
+        meta,
+    )
+    logs: list[str] = []
+    run_pipeline(config, log=logs.append)
+    assert "isa-fit: left out 1 instance(s) where every run failed" in logs
+    assert "isa-project: left out 1 instance(s) where every run failed" in logs
+    ids, _, _, _ = read_projections(config.artifact("projections.csv"))
+    assert victim not in ids and len(ids) == count - 1
+    _, rows = read_table(
+        config.artifact("footprints.csv"), pipeline._FOOTPRINT_COLUMNS, PipelineError, list
+    )
+    assert sum(int(row[2]) for row in rows) == len(ids)
+
+
 def test_cli_full_run_and_idempotent_rerun(tmp_path, capsys):
     write_corpus(tmp_path / "corpus")
     config_path = write_config(tmp_path)
@@ -815,6 +843,24 @@ def test_cli_predict_ranks_portfolio(tmp_path, capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 14
     assert all("exact=" in ln or "greedy=" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_cli_predict_rejects_top_below_one(tmp_path, capsys, top):
+    argv = ["predict", "--model", str(tmp_path / "selector.isa"),
+            "--features", str(tmp_path / "features.csv"), "--top", top]
+    assert main(argv) == 2
+    assert "--top" in capsys.readouterr().err
+
+
+def test_cli_predict_clamps_top_to_the_portfolio(completed_pipeline, capsys):
+    _, config, _, _ = completed_pipeline
+    out_dir = config.output_dir
+    argv = ["predict", "--model", str(out_dir / "selector.isa"),
+            "--features", str(out_dir / "features.csv"), "--top", "5"]
+    assert main(argv) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    assert lines and all(len(ln.split(": ", 1)[1].split()) == 2 for ln in lines)
 
 
 def test_cli_stage_subcommands_match_stage_names(tmp_path, capsys):

@@ -136,9 +136,14 @@ class PerformanceMatrix:
         return finite & (self.y <= (1.0 + self.tolerance) * ymin[:, None])
 
     @cached_property
-    def best_solver(self) -> tuple[str, ...]:
-        """Per instance, the solver of least score; ties go to the first id."""
-        return tuple(self.solver_ids[j] for j in np.argmin(self.y, axis=1))
+    def best_solver(self) -> tuple[str | None, ...]:
+        """Per instance, the solver of least score; ties go to the first id.
+        None for an instance with no finite score (every run failed)."""
+        scored = np.isfinite(self.y).any(axis=1)
+        return tuple(
+            self.solver_ids[j] if ok else None
+            for j, ok in zip(np.argmin(self.y, axis=1), scored)
+        )
 
     def y_of(self, instance_id: str, solver_id: str) -> float:
         i = self.instance_ids.index(instance_id)

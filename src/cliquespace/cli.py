@@ -35,6 +35,8 @@ def _log(message: str) -> None:
 
 
 def _stage_command(args, stages) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = load_config(args.config)
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     def stage_parser(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="campaign INI file")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p.add_argument("--jobs", type=int, default=None, help="parallel workers, at least 1")
         return p
 
     run_p = stage_parser("run", "run the full pipeline (or --stages subset)")

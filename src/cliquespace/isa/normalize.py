@@ -26,7 +26,6 @@ class NormalizationParams:
     log_flags: tuple[bool, ...]
     shifts: tuple[float, ...]
     scales: tuple[float, ...]
-    dropped: tuple[str, ...]  # constant features excluded from the space
 
     def restrict(self, names) -> "NormalizationParams":
         """Parameters for a subset of the retained features, in ``names`` order."""
@@ -40,7 +39,6 @@ class NormalizationParams:
             log_flags=tuple(self.log_flags[i] for i in rows),
             shifts=tuple(self.shifts[i] for i in rows),
             scales=tuple(self.scales[i] for i in rows),
-            dropped=(),
         )
 
 
@@ -52,7 +50,6 @@ def identity_normalization(names) -> NormalizationParams:
         log_flags=(False,) * len(names),
         shifts=(0.0,) * len(names),
         scales=(1.0,) * len(names),
-        dropped=(),
     )
 
 
@@ -86,11 +83,9 @@ def fit_normalization(matrix: np.ndarray, feature_names) -> NormalizationParams:
     log_flags: list[bool] = []
     shifts: list[float] = []
     scales: list[float] = []
-    dropped: list[str] = []
     for j, name in enumerate(feature_names):
         column = matrix[:, j]
         if np.all(column == column[0]):
-            dropped.append(name)
             continue
         use_log = abs(_skewness(column)) > _SKEW_THRESHOLD
         if use_log:
@@ -110,7 +105,6 @@ def fit_normalization(matrix: np.ndarray, feature_names) -> NormalizationParams:
         log_flags=tuple(log_flags),
         shifts=tuple(shifts),
         scales=tuple(scales),
-        dropped=tuple(dropped),
     )
 
 

@@ -24,10 +24,13 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class ProjectionModel:
-    selected_features: tuple[str, ...]
     matrix: np.ndarray  # d x 2
-    normalization: NormalizationParams
+    normalization: NormalizationParams  # names the d features, in row order
     source: str  # "fitted_pca" or "loaded_external"
+
+    @property
+    def selected_features(self) -> tuple[str, ...]:
+        return self.normalization.feature_names
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -79,26 +82,17 @@ def fit_projection(
         components.append(vec)
     matrix = np.column_stack(components)
     return ProjectionModel(
-        selected_features=feature_names,
         matrix=matrix,
         normalization=normalization.restrict(feature_names),
         source="fitted_pca",
     )
 
 
-def load_external_matrix(
-    matrix, feature_names, normalization: NormalizationParams | None = None
-) -> ProjectionModel:
-    """Wrap a published d x 2 matrix; identity normalization by default."""
-    feature_names = tuple(feature_names)
-    if normalization is None:
-        normalization = identity_normalization(feature_names)
-    else:
-        normalization = normalization.restrict(feature_names)
+def load_external_matrix(matrix, feature_names) -> ProjectionModel:
+    """Wrap a published d x 2 matrix that maps raw features (identity normalization)."""
     return ProjectionModel(
-        selected_features=feature_names,
         matrix=np.asarray(matrix, dtype=float),
-        normalization=normalization,
+        normalization=identity_normalization(feature_names),
         source="loaded_external",
     )
 
@@ -153,16 +147,13 @@ def read_projection_model(path: str | Path) -> ProjectionModel:
     body = read_model(path, "projection")
     try:
         features = body["features"]
-        names = tuple(f["name"] for f in features)
         normalization = NormalizationParams(
-            feature_names=names,
+            feature_names=tuple(f["name"] for f in features),
             log_flags=tuple(bool(f["log"]) for f in features),
             shifts=tuple(float(f["shift"]) for f in features),
             scales=tuple(float(f["scale"]) for f in features),
-            dropped=(),
         )
         return ProjectionModel(
-            selected_features=names,
             matrix=np.array(body["matrix"], dtype=float),
             normalization=normalization,
             source=body["source"],

@@ -151,27 +151,20 @@ def sifted_select(
 
     kept_idx = [j for j, name in enumerate(feature_names) if correlations[name] >= threshold]
     kept = tuple(feature_names[j] for j in kept_idx)
-    if not kept:
-        return SiftedResult(
-            selected=(),
-            kept_stage1=(),
-            correlations=correlations,
-            k=0,
-            silhouette=float("nan"),
-            diagnostic=(
-                f"no feature reached |corr| >= {threshold}; "
-                f"best was {max(correlations.values()):.4f}"
-            ),
-        )
     if len(kept) <= 2:
-        # nothing to cluster: the survivors are already the selection
+        # nothing to cluster: the survivors, if any, are already the selection
         return SiftedResult(
             selected=kept,
             kept_stage1=kept,
             correlations=correlations,
             k=0,
             silhouette=float("nan"),
-            diagnostic="stage 2 skipped: 2 or fewer features survived stage 1",
+            diagnostic=(
+                "stage 2 skipped: 2 or fewer features survived stage 1"
+                if kept
+                else f"no feature reached |corr| >= {threshold}; "
+                f"best was {max(correlations.values()):.4f}"
+            ),
         )
 
     dist = _feature_distance_matrix(features[:, kept_idx])

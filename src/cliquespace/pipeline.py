@@ -312,13 +312,15 @@ def _aligned(matrix: PerformanceMatrix, ids: list[str]) -> PerformanceMatrix:
 def _features_with_runs(
     config: PipelineConfig, log, stage: str
 ) -> tuple[list[str], np.ndarray, PerformanceMatrix]:
-    """The instances with features and a finite score, sorted, with their
+    """The instances with features and a best solver, sorted, with their
     feature rows and their performance rows in that order.  An instance
     where every run failed has no best solver, so it is left out."""
     ids, X, _ = read_features_csv(config.artifact("features.csv"))
     matrix = _performance(config)
     both = set(ids) & set(matrix.instance_ids)
-    scored = {iid for iid, row in zip(matrix.instance_ids, matrix.y) if (row < math.inf).any()}
+    scored = {
+        iid for iid, best in zip(matrix.instance_ids, matrix.best_solver) if best is not None
+    }
     common = sorted(both & scored)
     if len(common) < len(both):
         log(f"{stage}: left out {len(both) - len(common)} instance(s) where every run failed")

@@ -46,11 +46,6 @@ class SelectorModel:
     solver_ids: tuple[str, ...]
     classifiers: dict
     metadata: dict = field(default_factory=dict)
-    fold_log: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def dims(self) -> int:
-        return len(self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ def train(
     boolean.  Hyperparameters per solver are picked by stratified
     k-fold (k = min(5, #good, #bad)) cross-validation maximizing mean
     F1, then the classifier is refit on the full corpus.  Deterministic
-    given ``seed``; validation fold indices are kept in ``fold_log``.
+    given ``seed``.
     """
     X = np.asarray(inputs, dtype=float)
     good = np.asarray(good, dtype=bool)
@@ -126,7 +121,6 @@ def train(
         raise SelectorError(f"unknown input space {input_space!r}")
 
     classifiers: dict = {}
-    fold_log: dict = {}
     metadata: dict = {}
     for s, solver_id in enumerate(solver_ids):
         labels = good[:, s]
@@ -139,7 +133,6 @@ def train(
         rng = random.Random(f"{seed}:{solver_id}")
         n_folds = min(5, n_pos, n_neg)
         folds = _stratified_folds(labels, n_folds, rng)
-        fold_log[solver_id] = folds
         y_signed = np.where(labels, 1.0, -1.0)
         best_score, best_hyper = -1.0, DEFAULT_GRID[0]
         for c_val, gamma in DEFAULT_GRID:
@@ -162,15 +155,15 @@ def train(
         solver_ids=solver_ids,
         classifiers=classifiers,
         metadata=metadata,
-        fold_log=fold_log,
     )
 
 
 def predict(model: SelectorModel, x) -> list[tuple[str, float]]:
     """Rank the portfolio for one instance, best first."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.dims,):
-        raise SelectorError(f"expected {model.dims} input values, got shape {x.shape}")
+    dims = len(model.feature_names)
+    if x.shape != (dims,):
+        raise SelectorError(f"expected {dims} input values, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise SelectorError("non-finite prediction input")
     scored = [

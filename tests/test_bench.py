@@ -136,7 +136,8 @@ def _brute_labels(y, solver_ids, tolerance):
         finite = [v for v in row if v < math.inf]
         ymin = min(finite, default=math.inf)
         good.append([v < math.inf and v <= (1.0 + tolerance) * ymin for v in row])
-        best.append(solver_ids[min(range(len(row)), key=lambda j: (row[j], j))])
+        winner = min(range(len(row)), key=lambda j: (row[j], j))
+        best.append(solver_ids[winner] if finite else None)
     return good, tuple(best)
 
 
@@ -198,6 +199,17 @@ class TestPerformanceMatrix:
         ]
         m = PerformanceMatrix.from_records(records)
         assert m.best_solver == ("alpha",)
+
+    def test_instance_where_every_run_failed_has_no_winner(self):
+        records = [
+            rec("a", "exact", 10, 0.5),
+            rec("a", "greedy", 9, 1.0),
+            rec("b", "exact", 0, 1.0, status="failed"),
+            rec("b", "greedy", 0, 0.5, status="failed"),
+        ]
+        m = PerformanceMatrix.from_records(records)
+        assert m.best_solver == ("exact", None)
+        assert m.good[1].tolist() == [False, False]
 
     def test_missing_pair_treated_as_failed(self):
         records = [

@@ -59,7 +59,6 @@ def test_constant_feature_dropped_and_reported():
     matrix = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
     params = fit_normalization(matrix, ["flat", "varies"])
     assert params.feature_names == ("varies",)
-    assert params.dropped == ("flat",)
     out = apply_normalization(params, matrix, ["flat", "varies"])
     assert out.shape == (3, 1)
 
@@ -370,13 +369,29 @@ def test_project_error_cases():
 def test_projection_model_shape_validation():
     with pytest.raises(ProjectionError):
         ProjectionModel(
-            selected_features=("a",),
             matrix=np.eye(2),
             normalization=identity_normalization(("a",)),
             source="loaded_external",
         )
     with pytest.raises(ProjectionError):
         load_external_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]), ("a", "b"))
+
+
+def test_selected_features_are_the_normalization_names(tmp_path):
+    rng = np.random.default_rng(53)
+    data = rng.normal(size=(20, 3))
+    params = fit_normalization(data, ["a", "b", "c"])
+    normalized = apply_normalization(params, data, ["a", "b", "c"])[:, [2, 0]]
+    fitted = fit_projection(normalized, ["c", "a"], params)
+    external = load_external_matrix(EXTERNAL_MATRIX, EXTERNAL_FEATURES)
+    path = tmp_path / "projection.isa"
+    write_projection_model(fitted, path)
+    read_back = read_projection_model(path)
+    assert fitted.selected_features == ("c", "a")
+    assert external.selected_features == EXTERNAL_FEATURES
+    assert read_back.selected_features == ("c", "a")
+    for model in (fitted, external, read_back):
+        assert model.selected_features == model.normalization.feature_names
 
 
 def test_median_instance_projects_to_origin():

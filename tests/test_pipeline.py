@@ -782,8 +782,8 @@ def test_cli_malformed_artifact_names_its_line(
 
 
 def test_instance_where_every_run_failed_is_left_out(completed_pipeline, tmp_path):
-    # such an instance has no best solver: an argmin over its all-inf row
-    # would credit it to the first solver id
+    # such an instance has no best solver (best_solver is None), so no
+    # stage may credit it to a solver
     source, _, _, count = completed_pipeline
     work = tmp_path / "campaign"
     shutil.copytree(source, work)
@@ -861,6 +861,57 @@ def test_cli_predict_clamps_top_to_the_portfolio(completed_pipeline, capsys):
     assert main(argv) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     assert lines and all(len(ln.split(": ", 1)[1].split()) == 2 for ln in lines)
+
+
+def _predict_lines(capsys, model: Path, features: Path, *extra: str) -> list[str]:
+    argv = ["predict", "--model", str(model), "--features", str(features), *extra]
+    assert main(argv) == 0
+    return [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+
+
+def test_cli_predict_needs_the_projection_of_a_z_model(completed_pipeline, tmp_path, capsys):
+    _, config, _, _ = completed_pipeline
+    alone = tmp_path / "selector.isa"
+    shutil.copy(config.artifact("selector.isa"), alone)
+    argv = ["predict", "--model", str(alone), "--features", str(config.artifact("features.csv"))]
+    assert main(argv) == 3
+    assert "--projection" in capsys.readouterr().err
+
+
+def test_cli_predict_reads_an_explicit_projection(completed_pipeline, tmp_path, capsys):
+    _, config, _, count = completed_pipeline
+    features = config.artifact("features.csv")
+    default = _predict_lines(capsys, config.artifact("selector.isa"), features)
+    alone = tmp_path / "selector.isa"
+    shutil.copy(config.artifact("selector.isa"), alone)
+    explicit = _predict_lines(
+        capsys, alone, features, "--projection", str(config.artifact("projection.isa"))
+    )
+    assert len(default) == count
+    assert explicit == default
+
+
+def test_cli_predict_with_a_feature_space_model(completed_pipeline, tmp_path, capsys):
+    edit = ("[run]", "[selector]\ninput = features\n\n[run]")
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path, edit))
+    run_pipeline(config)
+    assert read_selector_model(config.artifact("selector.isa")).input_space == "features"
+    ids, _, _ = read_features_csv(config.artifact("features.csv"))
+    lines = _predict_lines(
+        capsys, config.artifact("selector.isa"), config.artifact("features.csv")
+    )
+    assert [ln.split(": ", 1)[0] for ln in lines] == list(ids)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_stage_commands_reject_jobs_below_one(tmp_path, capsys, jobs):
+    (tmp_path / "corpus").mkdir()
+    config_path = write_config(tmp_path)
+    for argv in (["ingest"], ["run"]):
+        assert main([*argv, "--config", str(config_path), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "run.jobs" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_stage_subcommands_match_stage_names(tmp_path, capsys):

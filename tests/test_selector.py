@@ -1,6 +1,7 @@
 """Per-solver classifier training, ranking prediction, and top-k scoring."""
 
 import json
+import random
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from cliquespace.selector import (
     train_svm,
     write_selector_model,
 )
+from cliquespace.selector.model import _stratified_folds
 
 
 def two_blobs(n_per_side=20, seed=0):
@@ -187,14 +189,14 @@ def test_constant_rankings_hit_uniform_truth_at_chance():
 
 
 def test_cross_validation_folds_partition_and_stratify():
-    X, good, _ = two_blobs(n_per_side=13, seed=17)
-    model = train(X, good, ["left", "right"], ["z1", "z2"], seed=5)
-    for solver_id in ("left", "right"):
-        folds = model.fold_log[solver_id]
+    _, good, _ = two_blobs(n_per_side=13, seed=17)
+    for s, solver_id in enumerate(("left", "right")):
+        labels = good[:, s]
+        # the folds train() draws for this solver at seed 5
+        folds = _stratified_folds(labels, 5, random.Random(f"5:{solver_id}"))
         assert len(folds) == 5
         flat = [i for fold in folds for i in fold]
         assert sorted(flat) == list(range(26))  # a partition: no repeats
-        labels = good[:, 0 if solver_id == "left" else 1]
         for fold in folds:
             held = labels[fold]
             assert held.any() and not held.all()  # both classes present
@@ -244,7 +246,6 @@ def test_all_degenerate_portfolio_ranks_by_good_rate():
     good[4, 2] = True  # a single positive for "mid"
     model = train(X, good, ["zeta", "alpha", "mid"], ["z1", "z2"], seed=0)
     assert all(isinstance(clf, PriorClassifier) for clf in model.classifiers.values())
-    assert model.fold_log == {}
     for x in X:
         # equal good rates break toward the smaller id
         assert predict(model, x) == [("alpha", 1.0), ("zeta", 1.0), ("mid", 1 / 12)]

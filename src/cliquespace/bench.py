@@ -262,12 +262,12 @@ def run_campaign(
     ``corpus`` holds (instance_id, Graph-or-path) pairs; unloadable
     instances are skipped with a log line.  ``portfolio`` holds
     (solver_id, callable(graph, budget) -> SolveResult) pairs.  Pairs
-    already present in the journal are not re-executed, and each new
-    record is flushed and fsynced as it is appended.  A solver exception,
-    or a result no run can produce (a clique size outside
-    ``1..node_count``, a negative or non-finite wall time), becomes a
-    failed record with the measured wall time, not a crash of the
-    campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``; ``replace(matrix,
+    already present in the journal are not re-executed, an instance with
+    none left to run is not loaded, and each new record is flushed and
+    fsynced as it is appended.  A solver exception, or a result no run
+    can produce (a clique size outside ``1..node_count``, a negative or
+    non-finite wall time), becomes a failed record with the measured wall
+    time, not a crash of the campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``; ``replace(matrix,
     tolerance=t)`` relabels it.
     """
     if not corpus:
@@ -291,6 +291,8 @@ def run_campaign(
 
     graphs: dict[str, Graph] = {}
     for instance_id, source in corpus:
+        if all((instance_id, solver_id) in done for solver_id in solver_ids):
+            continue
         try:
             graphs[instance_id] = _load_instance(source)
         except Exception as exc:

@@ -5,7 +5,10 @@ an immutable, undirected, simple graph with dense 0-based node ids and
 one neighbor bitmask per node.  Parsers canonicalize real-world benchmark
 files (DIMACS ``.clq``, edge lists, Matrix Market symmetric patterns),
 dropping self-loops and duplicate edges with warnings instead of failing,
-because published benchmark files do contain them.
+because published benchmark files do contain them.  They read the text a
+block of lines at a time and set each edge's two bits as its line is read,
+through the same edge sink as ``Graph(n, edges)``, so no list of all lines
+or all edges is built.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import GraphFormatError
@@ -65,10 +69,10 @@ class Graph:
     def __init__(self, node_count: int, edges, name: str = "") -> None:
         if node_count < 1:
             raise GraphFormatError("a graph needs at least one node")
-        self._fill(node_count, _edge_bits(node_count, edges), name)
+        self._fill(_edge_bits(node_count, edges), name)
 
-    def _fill(self, node_count: int, bits: list[int], name: str) -> None:
-        self.node_count = node_count
+    def _fill(self, bits: list[int], name: str) -> None:
+        self.node_count = len(bits)
         self.name = name
         self.adj_bits = tuple(bits)
         self.degrees = tuple(mask.bit_count() for mask in bits)
@@ -101,20 +105,27 @@ class Graph:
         return f"<Graph{label} n={self.node_count} m={self.edge_count}>"
 
 
-def _edge_bits(node_count: int, edges, warnings: list[str] | None = None) -> list[int]:
+def _edge_bits(node_count: int | None, edges, warnings: list[str] | None = None) -> list[int]:
     """Neighbor bitmasks of ``edges``, each edge checked once.  An endpoint
     out of range raises ``ValueError``; so do a self-loop and a duplicate,
-    unless ``warnings`` is given, which counts them as dropped instead."""
-    bits = [0] * node_count
+    unless ``warnings`` is given, which counts them as dropped instead.
+    With ``node_count`` None, the list grows as ids appear, to the largest
+    id + 1 (a self-loop's id included), which is an edge list's node count."""
+    grow = node_count is None
+    n = 0 if grow else node_count
+    bits = [0] * n
     loops = dupes = 0
     for u, v in edges:
+        if grow and (u >= n or v >= n):
+            n = max(u, v) + 1
+            bits += [0] * (n - len(bits))
         if u == v:
             if warnings is None:
                 raise ValueError(f"self-loop at node {u}")
             loops += 1
             continue
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge ({u}, {v}) outside [0, {node_count})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside [0, {n})")
         if (bits[u] >> v) & 1:
             if warnings is None:
                 raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
@@ -212,18 +223,38 @@ def validate_connected(g: Graph) -> bool:
     return seen == (1 << g.node_count) - 1
 
 
-def _parse_dimacs(text: str, warnings: list[str]) -> tuple[int, list[tuple[int, int]]]:
-    node_count = None
-    declared_edges = None
-    raw: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+# Text is read this many characters at a time, extended to the next "\n".
+_BLOCK_CHARS = 1 << 16
+
+
+def _blocks(text: str):
+    r"""Consecutive slices of ``text`` that each end just after a ``"\n"``
+    (the last one excepted), so no line break, ``"\r\n"`` included, is
+    split between two of them."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _numbered_lines(text: str):
+    """``enumerate(text.splitlines(), start=1)``, holding the lines of one
+    block at a time instead of a list of them all."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _blocks(text))), start=1)
+
+
+def _parse_dimacs(lines, warnings: list[str]):
+    """The node count from the problem line, and the 0-based edges of the
+    lines after it, checked as they are read."""
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
+        if fields[0] == "e":
+            raise GraphFormatError(f"line {lineno}: edge before problem line")
         if fields[0] == "p":
-            if node_count is not None:
-                raise GraphFormatError(f"line {lineno}: repeated problem line")
             if len(fields) < 4 or fields[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {lineno}: malformed problem line {line!r}")
             try:
@@ -233,56 +264,66 @@ def _parse_dimacs(text: str, warnings: list[str]) -> tuple[int, list[tuple[int, 
                 raise GraphFormatError(f"line {lineno}: non-integer counts in {line!r}") from None
             if node_count < 1:
                 raise GraphFormatError(f"line {lineno}: graph declares {node_count} nodes")
-        elif fields[0] == "e":
-            if node_count is None:
-                raise GraphFormatError(f"line {lineno}: edge before problem line")
+            return node_count, _dimacs_edges(lines, node_count, declared_edges, warnings)
+        # other directives (n, d, x, ...) are ignored
+    raise GraphFormatError("missing DIMACS problem line")
+
+
+def _dimacs_edges(lines, node_count: int, declared_edges: int, warnings: list[str]):
+    edges = 0
+    for lineno, line in lines:
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0] == "e":
             if len(fields) < 3:
-                raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
+                raise GraphFormatError(f"line {lineno}: malformed edge line {line.strip()!r}")
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+                raise GraphFormatError(
+                    f"line {lineno}: non-integer endpoint in {line.strip()!r}"
+                ) from None
             if not (1 <= u <= node_count and 1 <= v <= node_count):
                 raise GraphFormatError(
                     f"line {lineno}: edge ({u}, {v}) references a node outside 1..{node_count}"
                 )
-            raw.append((u - 1, v - 1))
-        # other directives (n, d, x, ...) are ignored
-    if node_count is None:
-        raise GraphFormatError("missing DIMACS problem line")
-    if declared_edges is not None and declared_edges != len(raw):
-        warnings.append(f"header declares {declared_edges} edges, file has {len(raw)}")
-    return node_count, raw
+            edges += 1
+            yield u - 1, v - 1
+        elif fields[0] == "p":
+            raise GraphFormatError(f"line {lineno}: repeated problem line")
+        # comments (a first field starting with "c") and other directives
+        # (n, d, x, ...) are ignored
+    if declared_edges != edges:
+        warnings.append(f"header declares {declared_edges} edges, file has {edges}")
 
 
-def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    raw: list[tuple[int, int]] = []
-    max_id = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+def _parse_edge_list(lines):
+    """The edges as written; the node count is the largest id + 1."""
+    for lineno, line in lines:
+        line = line.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) < 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+            raise GraphFormatError(
+                f"line {lineno}: non-integer endpoint in {line.strip()!r}"
+            ) from None
         if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id in {line!r}")
-        raw.append((u, v))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
-        raise GraphFormatError("edge list contains no edges; empty graph")
-    return max_id + 1, raw
+            raise GraphFormatError(f"line {lineno}: negative node id in {line.strip()!r}")
+        yield u, v
 
 
 _MM_HEADER = re.compile(r"^%%MatrixMarket\s+matrix\s+coordinate\s+(\w+)\s+(\w+)\s*$", re.I)
 
 
-def _parse_matrix_market(text: str, warnings: list[str]) -> tuple[int, list[tuple[int, int]]]:
-    lines = iter(enumerate(text.splitlines(), start=1))
+def _parse_matrix_market(lines, warnings: list[str]):
+    """The node count from the size line, and the 0-based edges of the
+    entries after it, checked as they are read."""
     try:
         _, header = next(lines)
     except StopIteration:
@@ -298,16 +339,12 @@ def _parse_matrix_market(text: str, warnings: list[str]) -> tuple[int, list[tupl
     if value_field != "pattern":
         warnings.append(f"ignoring {value_field} values; graph treated as unweighted pattern")
 
-    size_line = None
     for lineno, line in lines:
         line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        size_line = (lineno, line)
-        break
-    if size_line is None:
+        if line and not line.startswith("%"):
+            break
+    else:
         raise GraphFormatError("missing Matrix Market size line")
-    lineno, line = size_line
     fields = line.split()
     if len(fields) != 3:
         raise GraphFormatError(f"line {lineno}: malformed size line {line!r}")
@@ -319,48 +356,58 @@ def _parse_matrix_market(text: str, warnings: list[str]) -> tuple[int, list[tupl
         raise GraphFormatError(f"adjacency matrix must be square, got {rows}x{cols}")
     if rows < 1:
         raise GraphFormatError("empty graph: zero-dimensional matrix")
+    return rows, _matrix_market_edges(lines, rows, nnz, warnings)
 
-    raw: list[tuple[int, int]] = []
+
+def _matrix_market_edges(lines, rows: int, nnz: int, warnings: list[str]):
     entries = 0
     for lineno, line in lines:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
         fields = line.split()
+        if not fields or fields[0].startswith("%"):
+            continue
         if len(fields) < 2:
-            raise GraphFormatError(f"line {lineno}: malformed entry {line!r}")
+            raise GraphFormatError(f"line {lineno}: malformed entry {line.strip()!r}")
         try:
             i, j = int(fields[0]), int(fields[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer entry in {line!r}") from None
+            raise GraphFormatError(
+                f"line {lineno}: non-integer entry in {line.strip()!r}"
+            ) from None
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise GraphFormatError(f"line {lineno}: entry ({i}, {j}) outside 1..{rows}")
         entries += 1
-        raw.append((i - 1, j - 1))
+        yield i - 1, j - 1
     if entries != nnz:
         warnings.append(f"size line declares {nnz} entries, file has {entries}")
-    return rows, raw
 
 
 def parse_graph(data: bytes | str, fmt: GraphFormat, name: str = "") -> IngestReport:
     """Parse one graph from ``data`` in the given format.
 
-    Self-loops and duplicate edges are dropped and recorded as warnings.
-    Raises :class:`GraphFormatError` for malformed headers, out-of-range
-    node ids, or empty graphs.
+    The text is read a block of lines at a time, and each edge sets its
+    two bits as its line is read, so no list of all lines or all edges is
+    built.  Self-loops and duplicate edges are dropped and recorded as
+    warnings.  Raises :class:`GraphFormatError` for malformed headers,
+    out-of-range node ids, or empty graphs.
     """
     text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+    lines = _numbered_lines(text)
     warnings: list[str] = []
     if fmt is GraphFormat.DIMACS_CLQ:
-        node_count, raw = _parse_dimacs(text, warnings)
+        node_count, edges = _parse_dimacs(lines, warnings)
     elif fmt is GraphFormat.EDGE_LIST:
-        node_count, raw = _parse_edge_list(text)
+        node_count, edges = None, _parse_edge_list(lines)
     elif fmt is GraphFormat.MATRIX_MARKET:
-        node_count, raw = _parse_matrix_market(text, warnings)
+        node_count, edges = _parse_matrix_market(lines, warnings)
     else:
         raise GraphFormatError(f"unsupported format {fmt!r}")
+    # the header warnings come first, then the stream's own count check
+    # (appended when it runs out), then the sink's loop and duplicate counts
+    bits = _edge_bits(node_count, edges, warnings)
+    if not bits:
+        raise GraphFormatError("edge list contains no edges; empty graph")
     graph = Graph.__new__(Graph)
-    graph._fill(node_count, _edge_bits(node_count, raw, warnings), name)
+    graph._fill(bits, name)
     return IngestReport(
         graph=graph,
         format=fmt,

@@ -3,6 +3,7 @@ import shlex
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cliquespace.bench import (
     write_journal,
 )
 from cliquespace.errors import ScoringError
-from cliquespace.graph import generate, serialize, GraphFormat
+from cliquespace.graph import generate, parse_path, serialize, GraphFormat
 from cliquespace.solvers import SolveResult
 
 
@@ -347,6 +348,29 @@ class TestRunCampaign:
         assert len(calls) == 3, "journal hit must prevent re-execution"
         assert len(records) == 3
         assert len(matrix.instance_ids) == 3
+
+    def test_resume_parses_only_instances_with_pairs_left(self, tmp_path, monkeypatch):
+        paths = {}
+        for name, g in self.corpus(2):
+            paths[name] = tmp_path / f"{name}.clq"
+            paths[name].write_text(serialize(g, GraphFormat.DIMACS_CLQ))
+        portfolio = [("a", stub_solver(5, 0.5)), ("b", stub_solver(4, 1.0))]
+        journal = tmp_path / "runs.csv"
+        run_campaign([("g0", paths["g0"])], portfolio, budget=5.0, journal=journal)
+        parsed: list[str] = []
+
+        def counting_parse(path):
+            parsed.append(Path(path).stem)
+            return parse_path(path)
+
+        monkeypatch.setattr(bench, "parse_path", counting_parse)
+        corpus = [("g0", paths["g0"]), ("g1", paths["g1"])]
+        matrix, records = run_campaign(corpus, portfolio, budget=5.0, journal=journal)
+        assert parsed == ["g1"], "every pair of g0 is journaled"
+        fresh, fresh_records = run_campaign(corpus, portfolio, budget=5.0)
+        assert matrix == fresh
+        pair = lambda r: (r.instance_id, r.solver_id)
+        assert sorted(records, key=pair) == sorted(fresh_records, key=pair)
 
     def test_every_new_record_is_fsynced(self, tmp_path, monkeypatch):
         synced: list[int] = []

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquespace import graph as graph_module
 from cliquespace.errors import GraphFormatError
 from cliquespace.graph import (
+    _BLOCK_CHARS,
     Graph,
     GraphFormat,
     detect_format,
@@ -16,6 +20,7 @@ from cliquespace.graph import (
     peel_below,
     serialize,
     validate_connected,
+    _numbered_lines,
 )
 
 from oracles import from_networkx, to_networkx
@@ -130,6 +135,162 @@ class TestMatrixMarketParsing:
         report = parse_graph(text, GraphFormat.MATRIX_MARKET)
         assert report.graph.edge_count == 1
         assert any("unweighted" in w for w in report.warnings)
+
+
+LINE_ENDS = ("\n", "\r\n", "\r", "\f")
+COMMENT = {
+    GraphFormat.DIMACS_CLQ: "c note",
+    GraphFormat.EDGE_LIST: "# note",
+    GraphFormat.MATRIX_MARKET: "% note",
+}
+
+
+def _entry(fmt: GraphFormat, u: int, v: int, value_field: str = "pattern") -> str:
+    if fmt is GraphFormat.DIMACS_CLQ:
+        return f"e {u + 1} {v + 1}"
+    if fmt is GraphFormat.EDGE_LIST:
+        return f"{u} {v}"
+    return f"{u + 1} {v + 1}" + (" 7" if value_field == "integer" else "")
+
+
+def _header(fmt: GraphFormat, n: int, declared: int, value_field: str = "pattern") -> list[str]:
+    if fmt is GraphFormat.DIMACS_CLQ:
+        return ["c generated", f"p edge {n} {declared}"]
+    if fmt is GraphFormat.EDGE_LIST:
+        return []
+    return [
+        f"%%MatrixMarket matrix coordinate {value_field} symmetric",
+        "% generated",
+        f"{n} {n} {declared}",
+    ]
+
+
+def _pad(fmt: GraphFormat, offset: int) -> str:
+    """Comment lines, with every kind of line end in turn, filling more than
+    one block of the parser's reader."""
+    line = COMMENT[fmt] + " " + "x" * 60
+    count = _BLOCK_CHARS // len(line) + 2
+    return "".join(line + LINE_ENDS[(offset + i) % 4] for i in range(count)) + line
+
+
+def _draw_text(data, lines: list[str], last_ends=LINE_ENDS) -> str:
+    """``lines``, each followed by a drawn line end, the last one's drawn
+    from ``last_ends``."""
+    ends = [data.draw(st.sampled_from(LINE_ENDS)) for _ in lines[:-1]]
+    ends.append(data.draw(st.sampled_from(last_ends)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestStreamingParse:
+    """The parsers read a block of lines at a time and set each edge's bits
+    as its line is read; they must agree with a whole-text reading."""
+
+    @given(
+        text=st.text(st.sampled_from("ab \n\r\f\x0b\x1c\x85\u2028"), max_size=60),
+        block=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_numbered_lines_are_those_of_splitlines(self, text, block):
+        with mock.patch.object(graph_module, "_BLOCK_CHARS", block):
+            assert list(_numbered_lines(text)) == list(enumerate(text.splitlines(), start=1))
+
+    @pytest.mark.parametrize("fmt", list(GraphFormat))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_graph_of_the_unique_edges(self, fmt, data):
+        n = data.draw(st.integers(1, 12))
+        node = st.integers(0, n - 1)
+        # self-loops, duplicates and both orientations of an edge
+        edges = data.draw(
+            st.lists(st.tuples(node, node), min_size=fmt is GraphFormat.EDGE_LIST, max_size=30)
+        )
+        value_field = "pattern"
+        delta = 0
+        header_warnings = []
+        if fmt is GraphFormat.DIMACS_CLQ:
+            delta = data.draw(st.sampled_from((0, 0, 3)))
+            if delta:
+                header_warnings.append(
+                    f"header declares {len(edges) + delta} edges, file has {len(edges)}"
+                )
+        elif fmt is GraphFormat.MATRIX_MARKET:
+            value_field = data.draw(st.sampled_from(("pattern", "integer")))
+            delta = data.draw(st.sampled_from((0, 0, 3)))
+            if value_field != "pattern":
+                header_warnings.append(
+                    f"ignoring {value_field} values; graph treated as unweighted pattern"
+                )
+            if delta:
+                header_warnings.append(
+                    f"size line declares {len(edges) + delta} entries, file has {len(edges)}"
+                )
+        else:
+            n = max(max(e) for e in edges) + 1
+
+        body = [_entry(fmt, u, v, value_field) for u, v in edges]
+        if fmt is GraphFormat.EDGE_LIST:
+            body = [line + data.draw(st.sampled_from(("", "  # inline"))) for line in body]
+        body += data.draw(st.lists(st.sampled_from((COMMENT[fmt], "", "   ")), max_size=10))
+        if data.draw(st.booleans()):
+            body.append(_pad(fmt, data.draw(st.integers(0, 3))))
+        lines = _header(fmt, n, len(edges) + delta, value_field) + data.draw(st.permutations(body))
+        text = _draw_text(data, lines, last_ends=LINE_ENDS + ("",))
+        # the reader's own block size, or tiny blocks that cut inside the edges
+        block = data.draw(st.sampled_from((_BLOCK_CHARS, 1, 5, 40)))
+
+        with mock.patch.object(graph_module, "_BLOCK_CHARS", block):
+            report = parse_graph(text, fmt)
+
+        unique = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+        loops = sum(u == v for u, v in edges)
+        dupes = len(edges) - loops - len(unique)
+        assert report.graph.adj_bits == Graph(n, sorted(unique)).adj_bits
+        assert report.warnings == tuple(
+            header_warnings
+            + [f"dropped {loops} self-loop(s)"] * bool(loops)
+            + [f"dropped {dupes} duplicate edge(s)"] * bool(dupes)
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, bad",
+        [
+            (GraphFormat.DIMACS_CLQ, "e 1 x"),
+            (GraphFormat.DIMACS_CLQ, "e 1"),
+            (GraphFormat.EDGE_LIST, "1 x"),
+            (GraphFormat.EDGE_LIST, "7"),
+            (GraphFormat.MATRIX_MARKET, "1 x"),
+            (GraphFormat.MATRIX_MARKET, "3"),
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_malformed_line_after_a_block_boundary_names_its_line(self, fmt, bad, data):
+        edges = [_entry(fmt, 0, 1), _entry(fmt, 2, 1)] * data.draw(st.integers(0, 3))
+        lines = (
+            _header(fmt, 5, len(edges))
+            + [_pad(fmt, data.draw(st.integers(0, 3)))]
+            + data.draw(st.permutations(edges + [bad, "", COMMENT[fmt]]))
+        )
+        text = _draw_text(data, lines)
+        assert len(text) > _BLOCK_CHARS
+        lineno = text.splitlines().index(bad) + 1
+        with pytest.raises(GraphFormatError, match=f"^line {lineno}: "):
+            parse_graph(text, fmt)
+
+    @pytest.mark.parametrize("fmt", list(GraphFormat))
+    def test_parse_allocates_little(self, fmt):
+        # one block of lines and the bitmasks are live at a time; holding
+        # every line and one tuple per edge would peak near 10 MiB here
+        g = generate("gnp", 400, p=0.9, seed=1)
+        text = serialize(g, fmt)
+        tracemalloc.start()
+        try:
+            report = parse_graph(text, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.graph == g
+        assert peak < 2**20
 
 
 class TestGraphInvariants:

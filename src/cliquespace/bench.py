@@ -17,7 +17,6 @@ import csv
 import math
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .errors import ScoringError
-from .graph import Graph, parse_path
+from .graph import Budget, Graph, parse_path
 
 __all__ = [
     "MIN_WALL_SECONDS",
@@ -272,8 +271,10 @@ def run_campaign(
     """
     if not corpus:
         raise ScoringError("corpus is empty")
-    if not 0 < budget < math.inf:
-        raise ScoringError(f"budget must be positive and finite, got {budget!r}")
+    try:
+        Budget(budget)
+    except ValueError as exc:
+        raise ScoringError(str(exc)) from None
     solver_ids = [s for s, _ in portfolio]
     if len(set(solver_ids)) != len(solver_ids):
         raise ScoringError("duplicate solver ids in portfolio")
@@ -309,7 +310,7 @@ def run_campaign(
 
     def execute(task) -> RunRecord:
         instance_id, solver_id, fn = task
-        started = time.perf_counter()
+        run = Budget(budget)
         try:
             graph = graphs[instance_id]
             result = fn(graph, budget)
@@ -330,7 +331,7 @@ def run_campaign(
                 instance_id=instance_id,
                 solver_id=solver_id,
                 clique_size=0,
-                wall_seconds=time.perf_counter() - started,
+                wall_seconds=run.elapsed(),
                 proven_optimal=False,
                 status="failed",
             )

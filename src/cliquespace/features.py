@@ -8,18 +8,13 @@ spectral block fills one dense n-by-n buffer from that CSR, takes the
 adjacency eigenvalues, solves the shifted adjacency for eigenvector
 centrality, then overwrites the buffer with the Laplacian for its
 eigenvalues.  The block holds that buffer plus LAPACK's working copy,
-two dense matrices, never a third.
-A single wall-clock budget covers the whole computation; instances that
-blow it raise :class:`~cliquespace.errors.FeatureTimeoutError` so a
-corpus run can exclude them instead of stalling.  The budget is checked
-before the spectral block, but neither a dense eigenvalue call nor a
-dense solve can be interrupted by it.
+two dense matrices, never a third.  One :class:`~cliquespace.graph.Budget`
+covers the whole computation (see :func:`compute_features`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,7 +23,7 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .errors import DisconnectedGraphError, FeatureTimeoutError
-from .graph import Graph, greedy_clique, iter_bits, iter_edges, peel_below, validate_connected
+from .graph import Budget, Graph, greedy_clique, iter_bits, iter_edges, peel_below, validate_connected
 
 __all__ = [
     "FEATURE_NAMES",
@@ -100,18 +95,10 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 )
 
 
-class _Deadline:
-    """Wall-clock budget shared by every feature group of one instance."""
-
-    def __init__(self, seconds: float):
-        # a nan or inf limit would never fire, so refuse it
-        if not 0 < seconds < math.inf:
-            raise ValueError(f"timeout must be positive and finite, got {seconds!r}")
-        self.limit = time.perf_counter() + seconds
-
-    def check(self) -> None:
-        if time.perf_counter() > self.limit:
-            raise FeatureTimeoutError("feature computation exceeded its time budget")
+def _check(budget: Budget) -> None:
+    """Raise FeatureTimeoutError once the instance's ``budget`` has run out."""
+    if budget.expired():
+        raise FeatureTimeoutError("feature computation exceeded its time budget")
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +125,7 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return np.repeat(frontier, counts), indices[offsets]
 
 
-def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
+def _shortest_path_sweep(indptr, indices, budget: Budget):
     """One breadth-first search per source, for the distance group.
 
     Returns ``(girth, hist, dist_sums, betweenness)``: the shortest cycle
@@ -154,7 +141,7 @@ def _shortest_path_sweep(indptr, indices, deadline: _Deadline):
     dist_sums = np.zeros(n)
     bc = np.zeros(n)
     for s in range(n):
-        deadline.check()
+        _check(budget)
         dist = np.full(n, -1, dtype=np.int64)
         dist[s] = 0
         sigma = np.zeros(n)
@@ -317,7 +304,7 @@ def _median_std(name: str, values: np.ndarray) -> dict[str, float]:
     return {f"median_{name}": float(np.median(values)), f"std_{name}": float(np.std(values))}
 
 
-def _degree_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+def _degree_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     n = g.node_count
     indptr, indices = csr
     degrees = np.asarray(g.degrees, dtype=float)
@@ -335,10 +322,10 @@ def _degree_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     }
 
 
-def _distance_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+def _distance_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     """Girth, diameter, geodesic distances, betweenness and closeness,
     all from the one shortest-path sweep."""
-    girth, hist, dist_sums, betweenness = _shortest_path_sweep(*csr, deadline)
+    girth, hist, dist_sums, betweenness = _shortest_path_sweep(*csr, budget)
     total = int(hist.sum())
     values = np.arange(hist.size, dtype=float)
     cum = np.cumsum(hist)
@@ -355,12 +342,12 @@ def _distance_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     }
 
 
-def _spectral_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+def _spectral_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     eva, evl, eigenvector = _dense_spectra(*csr)
     return {**_spectral_values(eva, evl), **_median_std("eigenvector_centrality", eigenvector)}
 
 
-def _clustering_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+def _clustering_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     """Transitivity: 3 * triangles over the number of connected triples."""
     triangles3 = 0  # every triangle is counted once per incident edge
     for u, v in iter_edges(g):
@@ -369,7 +356,7 @@ def _clustering_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
     return {"global_clustering_coefficient": triangles3 / wedges if wedges else 0.0}
 
 
-def _clique_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
+def _clique_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     return {
         "k_core_number": float(_k_core_number(g)),
         "chromatic_minus_greedy_clique_gap": float(
@@ -379,7 +366,7 @@ def _clique_group(g: Graph, csr, deadline: _Deadline) -> dict[str, float]:
 
 
 # (timings key, group) in the order the groups run.  Each group takes the
-# graph, its CSR and the deadline, reads no other group's output, and
+# graph, its CSR and the instance's budget, reads no other group's output, and
 # returns its own features.
 _GROUPS = (
     ("degree", _degree_group),
@@ -403,17 +390,17 @@ def compute_features(g: Graph, timeout: float = 120.0) -> FeatureVector:
         raise ValueError("feature extraction needs at least 2 nodes")
     if not validate_connected(g):
         raise DisconnectedGraphError(f"graph {g.name!r} is disconnected")
-    deadline = _Deadline(timeout)
+    budget = Budget(timeout)
     csr = _csr(g)
     values: dict[str, float] = {}
     timings: dict[str, float] = {}
     for key, group in _GROUPS:
-        t0 = time.perf_counter()
-        values.update(group(g, csr, deadline))
-        timings[key] = time.perf_counter() - t0
+        t0 = budget.elapsed()
+        values.update(group(g, csr, budget))
+        timings[key] = budget.elapsed() - t0
         # the spectral block cannot be interrupted, so an instance already
         # over budget after the distance group must not start it
-        deadline.check()
+        _check(budget)
     return FeatureVector(**values, timings=timings)
 
 

@@ -1,20 +1,23 @@
-"""Graph representation, file ingestion, and synthetic generators.
+"""Graph representation, file ingestion, generators, and :class:`Budget`.
 
 The :class:`Graph` type is the universe every other module computes on:
 an immutable, undirected, simple graph with dense 0-based node ids and
 one neighbor bitmask per node.  Parsers canonicalize real-world benchmark
 files (DIMACS ``.clq``, edge lists, Matrix Market symmetric patterns),
 dropping self-loops and duplicate edges with warnings instead of failing,
-because published benchmark files do contain them.  They read the text a
-block of lines at a time and set each edge's two bits as its line is read,
-through the same edge sink as ``Graph(n, edges)``, so no list of all lines
-or all edges is built.
+because published benchmark files do contain them.  They read a text or
+stream a file a block of lines at a time and set each edge's two bits as
+its line is read, through the edge sink of ``Graph(n, edges)``, so no
+whole file, list of all lines or list of all edges is held.  :class:`Budget`
+is the one clock and positive-and-finite rule of every budgeted computation.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -37,6 +40,7 @@ __all__ = [
     "most_connected",
     "greedy_clique",
     "peel_below",
+    "Budget",
 ]
 
 
@@ -195,6 +199,26 @@ def peel_below(adj, alive: int, degree: list[int], k: int) -> int:
     return alive
 
 
+class Budget:
+    """Wall-clock ``seconds``, positive and finite (a nan or inf limit never
+    fires), started when made; None means no limit if ``unlimited`` allows
+    it.  ``clock`` times every budget and every run measured against one."""
+
+    clock = staticmethod(time.perf_counter)
+
+    def __init__(self, seconds: float | None, unlimited: bool = False) -> None:
+        if not (unlimited if seconds is None else 0 < seconds < math.inf):
+            raise ValueError(f"budget must be positive and finite, got {seconds!r}")
+        self.start = Budget.clock()
+        self.limit = math.inf if seconds is None else self.start + seconds
+
+    def elapsed(self) -> float:
+        return Budget.clock() - self.start
+
+    def expired(self) -> bool:
+        return Budget.clock() > self.limit
+
+
 @dataclass(frozen=True)
 class IngestReport:
     """Outcome of parsing one graph file.
@@ -223,25 +247,28 @@ def validate_connected(g: Graph) -> bool:
     return seen == (1 << g.node_count) - 1
 
 
-# Text is read this many characters at a time, extended to the next "\n".
+# Text is read this many characters at a time, extended to the next line break.
 _BLOCK_CHARS = 1 << 16
+# every line break of str.splitlines, "\r\n" first so that it is never split
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _blocks(text: str):
-    r"""Consecutive slices of ``text`` that each end just after a ``"\n"``
-    (the last one excepted), so no line break, ``"\r\n"`` included, is
-    split between two of them."""
+    r"""Consecutive slices of ``text`` that each end just after a line
+    break (the last one excepted), so no line, and no ``"\r\n"``, is split
+    between two of them."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        found = _LINE_BREAK.search(text, start + _BLOCK_CHARS)
+        end = found.end() if found else len(text)
         yield text[start:end]
         start = end
 
 
-def _numbered_lines(text: str):
-    """``enumerate(text.splitlines(), start=1)``, holding the lines of one
-    block at a time instead of a list of them all."""
-    return enumerate(chain.from_iterable(map(str.splitlines, _blocks(text))), start=1)
+def _numbered_lines(blocks):
+    """``enumerate(text.splitlines(), start=1)`` of the text that ``blocks``,
+    each ending at a line break, make up, one block's lines at a time."""
+    return enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
 
 
 def _parse_dimacs(lines, warnings: list[str]):
@@ -382,16 +409,17 @@ def _matrix_market_edges(lines, rows: int, nnz: int, warnings: list[str]):
 
 
 def parse_graph(data: bytes | str, fmt: GraphFormat, name: str = "") -> IngestReport:
-    """Parse one graph from ``data`` in the given format.
-
-    The text is read a block of lines at a time, and each edge sets its
-    two bits as its line is read, so no list of all lines or all edges is
-    built.  Self-loops and duplicate edges are dropped and recorded as
+    """Parse one graph from ``data`` in the given format, a block of lines
+    at a time.  Self-loops and duplicate edges are dropped and recorded as
     warnings.  Raises :class:`GraphFormatError` for malformed headers,
     out-of-range node ids, or empty graphs.
     """
     text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    lines = _numbered_lines(text)
+    return _parse_blocks(_blocks(text), fmt, name)
+
+
+def _parse_blocks(blocks, fmt: GraphFormat, name: str) -> IngestReport:
+    lines = _numbered_lines(blocks)
     warnings: list[str] = []
     if fmt is GraphFormat.DIMACS_CLQ:
         node_count, edges = _parse_dimacs(lines, warnings)
@@ -422,9 +450,12 @@ def detect_format(path: str | Path) -> GraphFormat:
 
 
 def parse_path(path: str | Path) -> IngestReport:
-    """Parse a graph file in the format its extension names (see detect_format)."""
+    r"""Parse a graph file in the format its extension names (see detect_format)
+    as :func:`parse_graph` does, streamed in blocks ending at ``"\n"`` or ``"\r"``."""
     path = Path(path)
-    return parse_graph(path.read_bytes(), detect_format(path), name=path.stem)
+    with path.open(encoding="utf-8", errors="replace", newline=None) as fh:
+        blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+        return _parse_blocks(blocks, detect_format(path), path.stem)
 
 
 def serialize(g: Graph, fmt: GraphFormat) -> str:

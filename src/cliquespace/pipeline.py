@@ -32,7 +32,7 @@ from .errors import (
     ModelFormatError,
     PipelineError,
 )
-from .graph import parse_path
+from .graph import Budget, parse_path
 from .solvers import BUILTIN_SOLVER_IDS, make_builtin
 from .solvers.external import check_template, run_external
 
@@ -98,10 +98,12 @@ _FOOTPRINT_COLUMNS = ("solver_id", "good_count", "best_count", "area", "density"
 
 
 def require_budget(key: str, value: float) -> None:
-    """Raise ConfigError naming ``key`` unless ``0 < value < inf``; a
-    ``nan`` budget would switch off every deadline."""
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{key}: must be positive and finite")
+    """Raise ConfigError naming ``key`` unless ``value`` makes a
+    :class:`~cliquespace.graph.Budget`; a ``nan`` one would never expire."""
+    try:
+        Budget(value)
+    except ValueError:
+        raise ConfigError(f"{key}: must be positive and finite") from None
 
 
 def resolve_solver(solver_id: str, spec: str, seed: int):

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from ..errors import CliqueValidityError
-from ..graph import Graph
+from ..graph import Budget, Graph
 
 __all__ = [
     "SolveResult",
@@ -53,16 +52,16 @@ def verify_clique(g: Graph, nodes) -> None:
             raise CliqueValidityError(f"claimed clique contains the non-edge ({u}, {v})")
 
 
-def finish(g: Graph, clique, start: float, solver_id: str, proven: bool, exhausted: bool = False):
+def finish(g: Graph, clique, budget: Budget, solver_id: str, proven: bool, exhausted: bool = False):
     """The result envelope of one builtin run: ``clique`` is sorted and
-    verified, and the wall time runs from ``start`` to after that check."""
+    verified, and the wall time is ``budget.elapsed()`` after that check."""
     clique = tuple(sorted(clique))
     verify_clique(g, clique)
     return SolveResult(
         clique=clique,
         clique_size=len(clique),
         proven_optimal=proven,
-        wall_seconds=time.perf_counter() - start,
+        wall_seconds=budget.elapsed(),
         solver_id=solver_id,
         budget_exhausted=exhausted,
     )

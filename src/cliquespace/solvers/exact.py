@@ -11,10 +11,8 @@ with ``proven_optimal`` false.
 
 from __future__ import annotations
 
-import math
-import time
-
-from ..graph import Graph, greedy_clique
+from ..graph import Budget, Graph, greedy_clique
+from . import finish
 
 
 class _BudgetExhausted(Exception):
@@ -29,17 +27,12 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     seconds) every time the best clique improves, including the greedy
     warm start.
     """
-    from . import finish
-
-    if budget is not None and not 0 < budget < math.inf:
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    start = time.perf_counter()
-    deadline = None if budget is None else start + budget
+    budget = Budget(budget, unlimited=True)
     adj = g.adj_bits
 
     best = greedy_clique(g)
     if on_incumbent:
-        on_incumbent(sorted(best), time.perf_counter() - start)
+        on_incumbent(sorted(best), budget.elapsed())
 
     ticks = 0
 
@@ -63,7 +56,7 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
                 bound.append(color)
         for i in range(len(order) - 1, -1, -1):
             ticks += 1
-            if deadline is not None and ticks & 1023 == 0 and time.perf_counter() > deadline:
+            if ticks & 1023 == 0 and budget.expired():
                 raise _BudgetExhausted
             if len(stack) + bound[i] <= len(best):
                 return  # every remaining vertex has an equal or lower color
@@ -75,7 +68,7 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
             elif len(stack) > len(best):
                 best = stack.copy()
                 if on_incumbent:
-                    on_incumbent(sorted(best), time.perf_counter() - start)
+                    on_incumbent(sorted(best), budget.elapsed())
             stack.pop()
             cand &= ~(1 << v)
 
@@ -85,4 +78,4 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     except _BudgetExhausted:
         proven = False
 
-    return finish(g, best, start, "exact", proven, exhausted=not proven)
+    return finish(g, best, budget, "exact", proven, exhausted=not proven)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 import random
-import time
 
-from ..graph import Graph, greedy_clique, iter_bits, most_connected, peel_below
+from ..graph import Budget, Graph, greedy_clique, iter_bits, most_connected, peel_below
+from . import finish
 
 # a local-search round after the first grows by the best of this many sampled candidates
 _SAMPLES = 64
@@ -19,11 +18,9 @@ def solve_greedy(g: Graph):
     candidate with the most neighbors among the remaining candidates
     (ties to the lowest id); it is deterministic.
     """
-    from . import finish
-
-    start = time.perf_counter()
+    budget = Budget(None, unlimited=True)
     best = greedy_clique(g)
-    return finish(g, best, start, "greedy", proven=len(best) == g.node_count)
+    return finish(g, best, budget, "greedy", proven=len(best) == g.node_count)
 
 
 def solve_local_search(
@@ -49,12 +46,7 @@ def solve_local_search(
     checks the deadline once per vertex and stops there, leaving a
     partial (still sound) peel.
     """
-    from . import finish
-
-    if not 0 < budget < math.inf:
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    start = time.perf_counter()
-    deadline = start + budget
+    budget = Budget(budget)
     rng = random.Random(seed)
     adj = list(g.adj_bits)  # the edge peel clears bits of this copy
     n = g.node_count
@@ -92,7 +84,7 @@ def solve_local_search(
             alive = peel_below(adj, alive, degree, threshold)
             changed = False
             for u in iter_bits(alive):
-                if time.perf_counter() > deadline:
+                if budget.expired():
                     return
                 for v in iter_bits(adj[u] & (alive >> (u + 1) << (u + 1))):
                     if (adj[u] & adj[v] & alive).bit_count() + 2 <= threshold:
@@ -109,12 +101,12 @@ def solve_local_search(
         if len(clique) > len(best):
             best = clique
             if on_incumbent:
-                on_incumbent(sorted(best), time.perf_counter() - start)
+                on_incumbent(sorted(best), budget.elapsed())
             reduce_below(len(best))
         if not alive:
             proven = True  # graph peeled away: nothing larger exists
             break
-        if time.perf_counter() > deadline:
+        if budget.expired():
             break
 
-    return finish(g, best, start, "fastwclq-like", proven, exhausted=not proven)
+    return finish(g, best, budget, "fastwclq-like", proven, exhausted=not proven)

@@ -513,7 +513,7 @@ class TestRunCampaign:
                 budget=1.0,
             )
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
     def test_non_finite_budget_rejected(self, budget):
         # a nan or inf budget would switch off every solver deadline
         with pytest.raises(ScoringError, match="positive and finite"):

@@ -14,7 +14,6 @@ from cliquespace.features import (
     FEATURE_NAMES,
     FeatureVector,
     _csr,
-    _Deadline,
     _shortest_path_sweep,
     compute_features,
     greedy_clique,
@@ -22,7 +21,7 @@ from cliquespace.features import (
     spectral_features,
     write_features_csv,
 )
-from cliquespace.graph import Graph, generate
+from cliquespace.graph import Budget, Graph, generate
 
 from oracles import connected_gnp, from_networkx, to_networkx
 from test_acceptance import _bipartite_trap
@@ -54,7 +53,7 @@ class TestFeatureVectorShape:
         csr = _csr(k5)
         seen: set[str] = set()
         for key, group in features._GROUPS:
-            names = set(group(k5, csr, _Deadline(60.0)))
+            names = set(group(k5, csr, Budget(60.0)))
             assert not names & seen, key
             seen |= names
         assert seen == set(FEATURE_NAMES)
@@ -71,12 +70,13 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_timeout_rejected(self, k3, timeout):
-        with pytest.raises(ValueError, match="timeout"):
+        with pytest.raises(ValueError, match="positive and finite"):
             compute_features(k3, timeout=timeout)
 
-    def test_deadline_has_no_unlimited_budget(self):
-        with pytest.raises(TypeError):
-            _Deadline(None)
+    def test_timeout_has_no_unlimited_budget(self, k3):
+        # None means no limit only for the exact solver
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_features(k3, timeout=None)
 
     def test_budget_overrun_raises(self):
         g = connected_gnp(60, 0.5, seed=7)
@@ -88,8 +88,8 @@ class TestPreconditions:
         # eigenvalue calls that follow cannot be interrupted, so none may start
         real_sweep = features._shortest_path_sweep
 
-        def slow_sweep(indptr, indices, deadline):
-            result = real_sweep(indptr, indices, deadline)
+        def slow_sweep(indptr, indices, budget):
+            result = real_sweep(indptr, indices, budget)
             time.sleep(0.1)
             return result
 
@@ -200,7 +200,7 @@ class TestShortestPathSweep:
         g = from_networkx(G, name=name)
         H = to_networkx(g)
         assert nx.girth(H) == girth
-        sweep_girth, hist, dist_sums, bc = _shortest_path_sweep(*_csr(g), _Deadline(60.0))
+        sweep_girth, hist, dist_sums, bc = _shortest_path_sweep(*_csr(g), Budget(60.0))
         assert sweep_girth == float(girth)
         lengths = dict(nx.all_pairs_shortest_path_length(H))
         pair_dists = [lengths[u][v] for u in H for v in H if u < v]
@@ -223,7 +223,7 @@ class TestShortestPathSweep:
 
     def test_disconnected_csr_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
-            _shortest_path_sweep(*_csr(two_triangles), _Deadline(60.0))
+            _shortest_path_sweep(*_csr(two_triangles), Budget(60.0))
 
 
 # Long paths (small spectral gaps), a star, a complete bipartite graph and
@@ -603,5 +603,5 @@ def test_each_group_alone_matches_compute_features(G):
     g = from_networkx(G)
     fv = compute_features(g)
     for key, group in features._GROUPS:
-        values = group(g, _csr(g), _Deadline(60.0))
+        values = group(g, _csr(g), Budget(60.0))
         assert values == {name: getattr(fv, name) for name in values}, key

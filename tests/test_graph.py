@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -17,9 +19,11 @@ from cliquespace.graph import (
     generate,
     iter_bits,
     parse_graph,
+    parse_path,
     peel_below,
     serialize,
     validate_connected,
+    _blocks,
     _numbered_lines,
 )
 
@@ -173,6 +177,34 @@ def _pad(fmt: GraphFormat, offset: int) -> str:
     return "".join(line + LINE_ENDS[(offset + i) % 4] for i in range(count)) + line
 
 
+SUFFIX = {
+    GraphFormat.DIMACS_CLQ: ".clq",
+    GraphFormat.EDGE_LIST: ".txt",
+    GraphFormat.MATRIX_MARKET: ".mtx",
+}
+# lines of all three formats, valid and not, and invalid UTF-8
+FILE_LINES = tuple(
+    line.encode()
+    for line in (
+        "p edge 4 3", "e 1 2", "e 2 3", "e 3 4", "e 4 4", "e 1 9", "e 1", "c é note",
+        "%%MatrixMarket matrix coordinate pattern symmetric", "4 4 3", "2 1", "3 2", "4 3",
+        "0 1", "1 2 # inline", "# note", "% note", "", "  ",
+    )
+) + (b"e 1 \xff2", b"\xc3", b"2 \xe2\x80")
+FILE_LINE_ENDS = tuple(
+    end.encode() for end in ("\n", "\r\n", "\r", "\f", "\v", "\x85", "\x1c", "\u2028", "")
+)
+
+
+def _outcome(parse, *args):
+    """What a parse gives: its graph, warnings and connectivity, or its error."""
+    try:
+        report = parse(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+    return report.graph.adj_bits, report.graph.name, report.warnings, report.connected
+
+
 def _draw_text(data, lines: list[str], last_ends=LINE_ENDS) -> str:
     """``lines``, each followed by a drawn line end, the last one's drawn
     from ``last_ends``."""
@@ -192,7 +224,31 @@ class TestStreamingParse:
     @settings(max_examples=200, deadline=None)
     def test_numbered_lines_are_those_of_splitlines(self, text, block):
         with mock.patch.object(graph_module, "_BLOCK_CHARS", block):
-            assert list(_numbered_lines(text)) == list(enumerate(text.splitlines(), start=1))
+            blocks = list(_blocks(text))
+            assert list(_numbered_lines(blocks)) == list(enumerate(text.splitlines(), start=1))
+        # every block but the last ends at a line break, "\r\n" kept whole
+        assert "".join(blocks) == text
+        for a, b in zip(blocks, blocks[1:]):
+            assert len((a + "x").splitlines()) == len(a.splitlines()) + 1
+            assert not (a.endswith("\r") and b.startswith("\n"))
+
+    @pytest.mark.parametrize("fmt", list(GraphFormat))
+    @given(
+        lines=st.lists(st.sampled_from(FILE_LINES), max_size=12),
+        ends=st.lists(st.sampled_from(FILE_LINE_ENDS), min_size=12, max_size=12),
+        block=st.integers(1, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_parse_path_is_parse_graph_of_the_file(self, fmt, lines, ends, block):
+        # mixed line ends and invalid UTF-8, streamed from a file at tiny
+        # block sizes, give the graph, warnings or error of the whole bytes
+        data = b"".join(line + end for line, end in zip(lines, ends))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            graph_module, "_BLOCK_CHARS", block
+        ):
+            path = Path(tmp) / ("g" + SUFFIX[fmt])
+            path.write_bytes(data)
+            assert _outcome(parse_path, path) == _outcome(parse_graph, data, fmt, "g")
 
     @pytest.mark.parametrize("fmt", list(GraphFormat))
     @given(data=st.data())
@@ -277,15 +333,20 @@ class TestStreamingParse:
         with pytest.raises(GraphFormatError, match=f"^line {lineno}: "):
             parse_graph(text, fmt)
 
+    @pytest.mark.parametrize("source", ["text", "file"])
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     @pytest.mark.parametrize("fmt", list(GraphFormat))
-    def test_parse_allocates_little(self, fmt):
+    def test_parse_allocates_little(self, fmt, end, source, tmp_path):
         # one block of lines and the bitmasks are live at a time; holding
-        # every line and one tuple per edge would peak near 10 MiB here
+        # every line and one tuple per edge would peak near 10 MiB here, and
+        # a file's bytes and their decoded text near 1.4 MiB
         g = generate("gnp", 400, p=0.9, seed=1)
-        text = serialize(g, fmt)
+        text = serialize(g, fmt).replace("\n", end)
+        path = tmp_path / ("g" + SUFFIX[fmt])
+        path.write_bytes(text.encode())
         tracemalloc.start()
         try:
-            report = parse_graph(text, fmt)
+            report = parse_graph(text, fmt) if source == "text" else parse_path(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -188,6 +188,8 @@ def test_config_validation_names_the_field(tmp_path):
     [
         ("run", "solver_budget", "nan"),  # would switch off every solver deadline
         ("run", "feature_budget", "inf"),  # would switch off every feature deadline
+        ("run", "solver_budget", "0"),
+        ("run", "feature_budget", "-1"),
         ("thresholds", "good_tolerance", "nan"),  # would label no solver good
     ],
 )

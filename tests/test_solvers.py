@@ -1,3 +1,4 @@
+import itertools
 import shlex
 import sys
 import time
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquespace.errors import CliqueValidityError, SolverOutputError, SolverSpawnError
-from cliquespace.graph import Graph, generate, greedy_clique
+from cliquespace.errors import (
+    CliqueValidityError,
+    FeatureTimeoutError,
+    SolverOutputError,
+    SolverSpawnError,
+)
+from cliquespace.features import compute_features
+from cliquespace.graph import Budget, Graph, generate, greedy_clique
 from cliquespace.solvers import (
     BUILTIN_SOLVER_IDS,
     SolveResult,
@@ -226,21 +233,40 @@ class TestLocalSearch:
             solve_local_search(k3, budget=-1.0)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
-@pytest.mark.parametrize(
-    "solve",
-    [
-        lambda g, budget: solve_local_search(g, budget=budget),
-        lambda g, budget: solve_exact_bb(g, budget=budget),
-        lambda g, budget: run_external("echo clique 1 {instance}", g, budget=budget),
-    ],
-    ids=["fastwclq-like", "exact", "external"],
-)
-def test_non_finite_budget_rejected(k5, solve, budget):
+SOLVE_WITH_BUDGET = {
+    "fastwclq-like": lambda g, budget: solve_local_search(g, budget=budget),
+    "exact": lambda g, budget: solve_exact_bb(g, budget=budget),
+    "external": lambda g, budget: run_external("echo clique 1 {instance}", g, budget=budget),
+}
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("solver", sorted(SOLVE_WITH_BUDGET))
+def test_non_finite_budget_rejected(k5, solver, budget):
     # a nan or inf deadline never passes, so a cycle would never return;
     # K5 peels in round 0, so a missing check returns here instead of hanging
     with pytest.raises(ValueError, match="positive and finite"):
-        solve(k5, budget)
+        SOLVE_WITH_BUDGET[solver](k5, budget)
+
+
+@pytest.mark.parametrize("solver", ["fastwclq-like", "external"])
+def test_none_budget_rejected(k5, solver):
+    # None means no limit only for the exact solver
+    with pytest.raises(ValueError, match="positive and finite"):
+        SOLVE_WITH_BUDGET[solver](k5, None)
+
+
+def test_every_budget_stops_on_the_one_clock(monkeypatch):
+    # each read of the replaced clock is one second later and real time
+    # plays no part, so each run stops, and is timed, on this clock alone
+    reads = itertools.count()
+    monkeypatch.setattr(Budget, "clock", staticmethod(lambda: float(next(reads))))
+    g = generate("gnp", 120, p=0.9, seed=3)  # neither solver proves it quickly
+    for res in (solve_exact_bb(g, budget=5.0), solve_local_search(g, budget=5.0, seed=0)):
+        assert res.budget_exhausted and not res.proven_optimal
+        assert res.wall_seconds == int(res.wall_seconds) > 5
+    with pytest.raises(FeatureTimeoutError):
+        compute_features(connected_gnp(30, 0.5, seed=1), timeout=2.5)
 
 
 def parse_lp(text: str):

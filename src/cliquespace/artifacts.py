@@ -4,7 +4,9 @@ Every text artifact opens with one ``# key=value`` line per metadata key;
 the SVG report carries the same keys as ``<!-- key=value -->`` comments.
 Only that leading block is metadata: a later line starting with ``#``,
 such as the row of an instance whose file stem starts with ``#``, is data.
-The body is CSV for tables and one JSON object for model files.
+The body is CSV for tables and one JSON object for model files.  Every
+artifact is written whole or not at all (``open_whole``), so a header
+that marks a file as current never heads a partial body.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ModelFormatError
@@ -28,9 +32,24 @@ def _write_meta(fh, meta: dict[str, str] | None) -> None:
         fh.write(f"# {key}={value}\n")
 
 
+@contextmanager
+def open_whole(path: str | Path):
+    """A text handle on ``<path>.part``, which replaces ``path`` when the
+    block ends and is removed when it raises: ``path`` is written whole or
+    not at all."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", newline="") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 def write_table(path: str | Path, columns, rows, meta: dict[str, str] | None) -> None:
     """A CSV artifact: the metadata block, the header ``columns``, then ``rows``."""
-    with Path(path).open("w", newline="") as fh:
+    with open_whole(path) as fh:
         _write_meta(fh, meta)
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -41,7 +60,7 @@ def write_model(path: str | Path, kind: str, body: dict, meta: dict[str, str] | 
     """A model file: the metadata block, then ``body`` as one JSON object
     tagged with the ``kind``'s format name and the model version."""
     model = {"format": f"cliquespace-{kind}-model", "version": _MODEL_VERSION, **body}
-    with Path(path).open("w") as fh:
+    with open_whole(path) as fh:
         _write_meta(fh, meta)
         fh.write(json.dumps(model) + "\n")
 
@@ -101,9 +120,9 @@ def read_table(path: str | Path, columns, error, parse, text: str | None = None)
 
     The header must equal ``columns`` and every row must have as many
     fields; ``parse`` turns a row's fields into the returned value and
-    raises ValueError on a bad field.  Any of these faults raises
-    ``error`` naming ``path:line``.  ``text`` stands in for the file's
-    contents when the caller has already read them.
+    raises ValueError or ``error`` on a bad field.  Any of these faults
+    raises ``error`` naming ``path:line``.  ``text`` stands in for the
+    file's contents when the caller has already read them.
     """
     if text is None:
         with Path(path).open(newline="") as fh:
@@ -120,6 +139,6 @@ def read_table(path: str | Path, columns, error, parse, text: str | None = None)
             if len(fields) != len(columns):
                 raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
             rows.append(parse(fields))
-        except ValueError as exc:
+        except (ValueError, error) as exc:
             raise error(f"{path}:{start + reader.line_num}: malformed row ({exc})") from None
     return meta, rows

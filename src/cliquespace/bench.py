@@ -18,7 +18,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -43,19 +43,13 @@ __all__ = [
 MIN_WALL_SECONDS = 0.001
 DEFAULT_GOOD_TOLERANCE = 0.05
 
-JOURNAL_COLUMNS = (
-    "instance_id",
-    "solver_id",
-    "clique_size",
-    "wall_seconds",
-    "proven_optimal",
-    "status",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One solver execution on one instance, immutable once journaled."""
+    """One solver execution on one instance, immutable once journaled; its
+    fields are the journal's columns.  A run no solver can make raises
+    ScoringError: a wall time outside ``[0, inf)``, a status other than
+    ``ok`` or ``failed``, a clique of size 0 on an ``ok`` run, or below 0."""
 
     instance_id: str
     solver_id: str
@@ -64,13 +58,27 @@ class RunRecord:
     proven_optimal: bool
     status: str = "ok"  # "ok" or "failed"
 
+    def __post_init__(self):
+        # scores divide by the instance's largest wall time, so one nan or
+        # inf run would skew every solver's score on its instance
+        if not 0 <= self.wall_seconds < math.inf:
+            raise ScoringError(f"impossible wall time {self.wall_seconds!r} on {self.solver_id}")
+        if self.status not in ("ok", "failed"):
+            raise ScoringError(f"unknown status {self.status!r} on {self.solver_id}")
+        if self.clique_size < (1 if self.status == "ok" else 0):
+            raise ScoringError(f"impossible clique size {self.clique_size} on {self.solver_id}")
+
+
+JOURNAL_COLUMNS = tuple(f.name for f in fields(RunRecord))
+
 
 def score_instance(records: list[RunRecord]) -> dict[str, float]:
     """Composite time/quality score per solver for one instance's records.
 
     Failed records score +inf and do not enter the max-time or max-size
-    denominators.  Raises on empty input, mixed instances, duplicate
-    solvers, negative times, or an ok record with a zero clique.
+    denominators.  Each record has already passed :class:`RunRecord`'s
+    checks; this raises on empty input, mixed instances or duplicate
+    solvers.
     """
     if not records:
         raise ScoringError("cannot score an instance with no records")
@@ -80,11 +88,6 @@ def score_instance(records: list[RunRecord]) -> dict[str, float]:
     solver_ids = [r.solver_id for r in records]
     if len(set(solver_ids)) != len(solver_ids):
         raise ScoringError("duplicate solver records for one instance")
-    for r in records:
-        if r.wall_seconds < 0:
-            raise ScoringError(f"negative wall time on {r.solver_id}")
-        if r.status == "ok" and r.clique_size < 1:
-            raise ScoringError(f"zero clique size on {r.solver_id}")
 
     ok = [r for r in records if r.status == "ok"]
     if not ok:
@@ -192,14 +195,9 @@ def _journal_row(r: RunRecord) -> list[str]:
 
 def _record_from_row(row: list[str]) -> RunRecord:
     instance_id, solver_id, size, wall, proven, status = row
-    if proven not in ("true", "false") or status not in ("ok", "failed"):
-        raise ValueError("bad proven_optimal or status field")
-    size, wall = int(size), float(wall)
-    # scores divide by the instance's largest wall time, so one nan or inf
-    # row would skew every solver's score on its instance
-    if not 0 <= wall < math.inf or size < 0:
-        raise ValueError(f"impossible clique size {size} or wall time {wall!r}")
-    return RunRecord(instance_id, solver_id, size, wall, proven == "true", status)
+    if proven not in ("true", "false"):
+        raise ValueError(f"bad proven_optimal field {proven!r}")
+    return RunRecord(instance_id, solver_id, int(size), float(wall), proven == "true", status)
 
 
 def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
@@ -264,10 +262,10 @@ def run_campaign(
     already present in the journal are not re-executed, an instance with
     none left to run is not loaded, and each new record is flushed and
     fsynced as it is appended.  A solver exception, or a result no run
-    can produce (a clique size outside ``1..node_count``, a negative or
-    non-finite wall time), becomes a failed record with the measured wall
-    time, not a crash of the campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``; ``replace(matrix,
-    tolerance=t)`` relabels it.
+    can produce (one :class:`RunRecord` refuses, or a clique larger than
+    the graph), becomes a failed record with the measured wall time, not a
+    crash of the campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``;
+    ``replace(matrix, tolerance=t)`` relabels it.
     """
     if not corpus:
         raise ScoringError("corpus is empty")
@@ -314,10 +312,9 @@ def run_campaign(
         try:
             graph = graphs[instance_id]
             result = fn(graph, budget)
-            if not 1 <= result.clique_size <= graph.node_count:
+            # RunRecord checks every other rule of a possible run
+            if result.clique_size > graph.node_count:
                 raise ScoringError(f"impossible clique size {result.clique_size}")
-            if not 0.0 <= result.wall_seconds < math.inf:
-                raise ScoringError(f"impossible wall time {result.wall_seconds}")
             record = RunRecord(
                 instance_id=instance_id,
                 solver_id=solver_id,

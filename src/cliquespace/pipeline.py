@@ -539,10 +539,10 @@ def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
 
 
 def _selector_inputs(
-    config: PipelineConfig, ids: list[str], Z: np.ndarray
+    config: PipelineConfig, input_space: str, ids: list[str], Z: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """Training/evaluation inputs per the configured selector input space."""
-    if config.selector_input == "z":
+    """Training/evaluation inputs in ``input_space``, ``z`` or ``features``."""
+    if input_space == "z":
         return Z, ("z1", "z2")
     f_ids, X, _ = read_features_csv(config.artifact("features.csv"))
     return X[_positions(f_ids, ids, "features.csv")], FEATURE_NAMES
@@ -550,7 +550,7 @@ def _selector_inputs(
 
 def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
     ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
-    inputs, names = _selector_inputs(config, ids, Z)
+    inputs, names = _selector_inputs(config, config.selector_input, ids, Z)
     matrix = _aligned(_performance(config), ids)
     model = train(
         inputs,
@@ -576,7 +576,7 @@ def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
     _, rows = read_table(footprints, _FOOTPRINT_COLUMNS, PipelineError, list)
     boundary = cloister_boundary(Z)
     model = read_selector_model(config.artifact("selector.isa"))
-    inputs, _ = _selector_inputs(config, ids, Z)
+    inputs, _ = _selector_inputs(config, model.input_space, ids, Z)
     k = min(2, len(model.solver_ids))
     evaluation = evaluate_topk(model, inputs, best, k=k, instance_ids=ids)
     counts = {b: best.count(b) for b in set(best)}
@@ -669,7 +669,6 @@ _STAGES = {
             _stage_report,
             _reads("projections.csv", "footprints.csv", "selector.isa", "features.csv"),
             ("report.csv", "scatter.svg"),
-            ("selector_input",),
         ),
     )
 }

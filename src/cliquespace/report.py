@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import svg_meta_lines
+from .artifacts import open_whole, svg_meta_lines
 
 WIDTH, HEIGHT = 760, 560
 MARGIN = 56
@@ -126,4 +126,5 @@ def render_scatter(
         )
         out.append(f'<text x="{lx + 16}" y="{row_y}" font-size="12">{sid}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    with open_whole(path) as fh:
+        fh.write("\n".join(out) + "\n")

@@ -89,6 +89,25 @@ class TestScoreInstance:
             score_instance([rec("i", "a", 0, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "size, seconds, status",
+    [
+        (5, math.nan, "ok"),
+        (5, math.inf, "ok"),
+        (5, -1.0, "ok"),
+        (0, 1.0, "ok"),
+        (-1, 1.0, "ok"),
+        (-1, 1.0, "failed"),
+        (5, 1.0, "bogus"),
+    ],
+    ids=["wall-nan", "wall-inf", "wall-negative", "ok-size-0", "ok-size-negative",
+         "failed-size-negative", "status-bogus"],
+)
+def test_run_record_refuses_a_run_no_solver_can_make(size, seconds, status):
+    with pytest.raises(ScoringError):
+        rec("i", "a", size, seconds, status=status)
+
+
 class TestLabels:
     def make_matrix(self, y_rows, tolerance=0.05):
         y = np.array(y_rows, dtype=float)
@@ -298,7 +317,8 @@ class TestJournal:
             read_journal(path)
 
     @pytest.mark.parametrize(
-        "size, wall", [("5", "nan"), ("5", "inf"), ("5", "-1.0"), ("-1", "1.0")]
+        "size, wall",
+        [("5", "nan"), ("5", "inf"), ("5", "-1.0"), ("-1", "1.0"), ("0", "1.0")],
     )
     def test_impossible_row_names_its_line(self, tmp_path, size, wall):
         path = tmp_path / "runs.csv"

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliquespace import pipeline
-from cliquespace.artifacts import read_model, read_table
+from cliquespace import features, pipeline
+from cliquespace.artifacts import read_model, read_table, write_table
 from cliquespace.bench import read_journal, write_journal
 from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
@@ -430,6 +430,48 @@ def test_corpus_edit_invalidates_downstream_stages(tmp_path):
     assert statuses == [("ingest", "ran"), ("features", "ran")]
     ids, _, _ = read_features_csv(config.artifact("features.csv"))
     assert len(ids) == count + 1
+
+
+class _Killed(Exception):
+    pass
+
+
+def _rows_then_kill(rows, count):
+    for i, row in enumerate(rows):
+        if i == count:
+            raise _Killed
+        yield row
+
+
+def test_interrupted_write_table_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ("a",), [["1"], ["2"]], {"inputs": "old"})
+    before = path.read_bytes()
+    with pytest.raises(_Killed):
+        write_table(path, ("a",), _rows_then_kill([["3"], ["4"]], 1), {"inputs": "new"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_interrupted_features_write_reruns(tmp_path, monkeypatch):
+    """A features.csv cut off after 3 rows must not be current: its
+    header would otherwise carry the fresh inputs hash."""
+    count = write_corpus(tmp_path / "corpus")
+    config = load_config(write_config(tmp_path))
+    run_pipeline(config, ["ingest"])
+    write = features.write_table
+    monkeypatch.setattr(
+        features,
+        "write_table",
+        lambda path, columns, rows, meta: write(path, columns, _rows_then_kill(rows, 3), meta),
+    )
+    with pytest.raises(_Killed):
+        run_pipeline(config, ["features"])
+    monkeypatch.undo()
+    assert run_pipeline(config, ["features"]) == [("features", "ran")]
+    ids, _, _ = read_features_csv(config.artifact("features.csv"))
+    assert len(ids) == count
+    assert not list(config.artifact("features.csv").parent.glob("*.part"))
 
 
 def test_report_refuses_mixed_config_hashes(tmp_path):

@@ -7,16 +7,13 @@ ranks the portfolio for instances in a feature CSV.
 
 Exit codes: 0 success; 2 configuration error; 3 data error (malformed
 inputs, missing artifacts, degenerate geometry); 4 campaign failure
-(every benchmark run failed).  ``CLIQUESPACE_TMPDIR`` redirects scratch
-files (external solver instances) to a chosen directory.
+(every benchmark run failed).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -168,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("CLIQUESPACE_TMPDIR"):
-        tempfile.tempdir = os.environ["CLIQUESPACE_TMPDIR"]
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -9,7 +9,8 @@ artifacts for the others.  Every artifact embeds the tool version, a
 hash of the whole semantic config (provenance only) and an inputs hash
 of the stage's own fields and files (see ``artifacts``).  A stage whose
 outputs carry the current tool and inputs hash is skipped, so a config
-edit re-runs only the stages that read the key and those after them; the
+edit re-runs the stages that read the key, and, as each re-run writes a
+new inputs hash into its outputs, the stages that read those; the
 benchmarking stage also resumes from its journal.
 """
 
@@ -95,6 +96,11 @@ _MANIFEST_COLUMNS = (
 )
 _PROJECTION_COLUMNS = ("instance_id", "z1", "z2", "best_solver")
 _FOOTPRINT_COLUMNS = ("solver_id", "good_count", "best_count", "area", "density", "purity")
+# a failed run is journaled, so a re-run with the same portfolio and budget keeps it
+_ALL_RUNS_FAILED = (
+    "every solver run failed; check budgets and solver commands, "
+    "then delete runs.csv to run them again"
+)
 
 
 def require_budget(key: str, value: float) -> None:
@@ -231,7 +237,9 @@ def _digest(config: PipelineConfig, fields, paths=()) -> str:
     for p in sorted(paths, key=lambda p: p.name):
         h.update(p.name.encode())
         h.update(b"\0")
-        h.update(p.read_bytes())
+        with p.open("rb") as f:  # a block at a time: corpus files can be large
+            while block := f.read(1 << 16):
+                h.update(block)
     return h.hexdigest()[:12]
 
 
@@ -316,13 +324,16 @@ def _features_with_runs(
 ) -> tuple[list[str], np.ndarray, PerformanceMatrix]:
     """The instances with features and a best solver, sorted, with their
     feature rows and their performance rows in that order.  An instance
-    where every run failed has no best solver, so it is left out."""
+    where every run failed has no best solver, so it is left out; a
+    journal where every run failed raises CampaignFailureError."""
     ids, X, _ = read_features_csv(config.artifact("features.csv"))
     matrix = _performance(config)
-    both = set(ids) & set(matrix.instance_ids)
     scored = {
         iid for iid, best in zip(matrix.instance_ids, matrix.best_solver) if best is not None
     }
+    if not scored:
+        raise CampaignFailureError(_ALL_RUNS_FAILED)
+    both = set(ids) & set(matrix.instance_ids)
     common = sorted(both & scored)
     if len(common) < len(both):
         log(f"{stage}: left out {len(both) - len(common)} instance(s) where every run failed")
@@ -431,9 +442,7 @@ def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
         log=log,
     )
     if all(r.status == "failed" for r in records):
-        raise CampaignFailureError(
-            "every solver run failed; check budgets and solver commands"
-        )
+        raise CampaignFailureError(_ALL_RUNS_FAILED)
     log(f"bench: {len(records)} runs over {len(matrix.instance_ids)} instances")
 
 
@@ -712,9 +721,14 @@ def run_pipeline(
 ) -> list[tuple[str, str]]:
     """Run the requested stages in canonical order; returns (stage, status).
 
-    Status is "ran", or "skipped" when the outputs are current and no
-    stage they read from ran in this call.  Raises :class:`PipelineError`
-    naming any stage upstream of a requested one that is not current.
+    A stage re-runs ("ran") when an output's ``tool`` or ``inputs`` hash
+    differs from the current one, or when its body check fails (a ``bench``
+    journal that lacks a run, a model file that does not read back);
+    otherwise it is "skipped".  The ``inputs`` hash covers the bytes of
+    every file the stage reads, so an upstream re-run that changes an
+    artifact makes the stages reading it stale.  Raises
+    :class:`PipelineError` naming any stage upstream of a requested one
+    that is not current.
     """
     config.validate()
     _load_stages()
@@ -732,9 +746,8 @@ def run_pipeline(
 
     statuses: dict[str, str] = {}
     for name in requested:
-        upstream = _upstream(config, name)
         # a stage this call ran or skipped is current and needs no second check
-        for up in (_STAGES[s] for s in upstream if s not in statuses):
+        for up in (_STAGES[s] for s in _upstream(config, name) if s not in statuses):
             if not _current(config, up, _stage_meta(config, up)):
                 missing = [o for o in up.outputs if not config.artifact(o).exists()]
                 raise PipelineError(
@@ -746,7 +759,7 @@ def run_pipeline(
                 )
         stage = _STAGES[name]
         meta = _stage_meta(config, stage)
-        if "ran" not in {statuses.get(s) for s in upstream} and _current(config, stage, meta):
+        if _current(config, stage, meta):
             emit(f"{name}: up to date, skipped")
             statuses[name] = "skipped"
             continue

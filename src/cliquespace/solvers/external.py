@@ -15,7 +15,9 @@ budget.  The output is read line by line:
 
 ``wall_seconds`` is the ``time`` value if there is one, otherwise the
 sum of the ``ts``/``tr``/``tp`` values, otherwise the measured wall
-time.  A budget kill is not an error: whatever incumbent was printed
+time.  The process runs in its own process group, which is killed at the
+budget and again once the process exits, so nothing it started outlives
+it.  A budget kill is not an error: whatever incumbent was printed
 before the kill is returned with ``budget_exhausted`` set.  When the
 process reports vertices they are validated as a real clique of the
 input graph; size-only output cannot be cross-checked and is taken as
@@ -24,8 +26,10 @@ reported.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 from pathlib import Path
@@ -62,6 +66,13 @@ def _parse_output(text: str):
     return verts, size, reported
 
 
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:  # every process of the group has exited
+        pass
+
+
 def run_external(
     cmd_template: str,
     g: Graph,
@@ -81,24 +92,33 @@ def run_external(
         clock = Budget(budget)
         killed = False
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=budget
+            # its own process group, so a kill reaches the processes it starts
+            proc = subprocess.Popen(
+                argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                errors="replace",
+                start_new_session=True,
             )
-            stdout = proc.stdout
-            returncode = proc.returncode
-        except subprocess.TimeoutExpired as exc:
-            killed = True
-            raw = exc.stdout or b""
-            stdout = raw.decode(errors="replace") if isinstance(raw, bytes) else raw
-            returncode = 0
         except OSError as exc:
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
+        try:
+            stdout, _ = proc.communicate(timeout=budget)
+        except subprocess.TimeoutExpired:
+            killed = True
+            _kill_group(proc.pid)
+            stdout, _ = proc.communicate()  # what it printed before the kill
+        finally:
+            # what it left running; on an interrupt too, as a session of its
+            # own gets no Ctrl-C from the terminal
+            _kill_group(proc.pid)
         measured = clock.elapsed()
 
     verts, size, reported = _parse_output(stdout)
-    if not killed and returncode != 0:
+    if not killed and proc.returncode != 0:
         raise SolverOutputError(
-            f"{solver_id} exited with status {returncode}: {stdout[-500:]!r}"
+            f"{solver_id} exited with status {proc.returncode}: {stdout[-500:]!r}"
         )
     if verts is not None:
         verify_clique(g, verts)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -432,6 +433,19 @@ def test_corpus_edit_invalidates_downstream_stages(tmp_path):
     assert len(ids) == count + 1
 
 
+def test_inputs_hash_reads_a_large_file_in_bounded_memory(tmp_path):
+    write_corpus(tmp_path / "corpus")
+    (tmp_path / "corpus" / "big.clq").write_bytes(b"c padding line\n" * 200_000)  # 3 MB
+    config = load_config(write_config(tmp_path))
+    tracemalloc.start()
+    try:
+        pipeline._stage_meta(config, pipeline._STAGES["ingest"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 class _Killed(Exception):
     pass
 
@@ -627,9 +641,27 @@ def test_v1_model_body_reruns_its_stage(completed_pipeline, tmp_path):
     header = [line for line in target.read_text().splitlines() if line.startswith("# ")]
     v1_body = ["cliquespace-selector-model v1", "input_space z", "solvers 0", "end"]
     target.write_text("\n".join(header + v1_body) + "\n")
+    report_before = config.artifact("report.csv").read_bytes()
     statuses = run_pipeline(config)
-    assert [stage for stage, status in statuses if status == "ran"] == ["train", "report"]
+    # the retrained model is the file report was computed from, byte for byte
+    assert [stage for stage, status in statuses if status == "ran"] == ["train"]
     assert read_model(target, "selector")["version"] == 2
+    assert config.artifact("report.csv").read_bytes() == report_before
+
+
+@pytest.mark.parametrize(
+    "deleted, stage",
+    [("sifted.csv", "isa-fit"), ("features.csv", "features"), ("selector.isa", "train")],
+)
+def test_deleted_artifact_reruns_only_its_stage(completed_pipeline, tmp_path, deleted, stage):
+    """The re-run writes the same bytes, so the stages reading them stay current."""
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path))
+    names = [out for s in pipeline._STAGES.values() for out in s.outputs]
+    before = {name: config.artifact(name).read_bytes() for name in names}
+    config.artifact(deleted).unlink()
+    statuses = run_pipeline(config)
+    assert [name for name, status in statuses if status == "ran"] == [stage]
+    assert {name: config.artifact(name).read_bytes() for name in names} == before
 
 
 def test_all_runs_failing_is_a_campaign_failure(tmp_path):
@@ -652,6 +684,22 @@ output_dir = out
     config = load_config(config_path)
     with pytest.raises(CampaignFailureError):
         run_pipeline(config, ["ingest", "bench"])
+
+
+def test_all_failed_campaign_fails_on_every_run(tmp_path, capsys):
+    # the failed runs are journaled, so the second run skips bench and the
+    # check falls to the stages that read the journal
+    write_corpus(tmp_path / "corpus")
+    ini = write_config(tmp_path)
+    ini.write_text(ini.read_text().replace(
+        "exact = builtin\ngreedy = builtin", "crasher = external false {instance}"
+    ))
+    codes, errors = [], []
+    for _ in range(2):
+        codes.append(main(["run", "--config", str(ini)]))
+        errors.append(capsys.readouterr().err)
+    assert codes == [4, 4]
+    assert all("delete runs.csv" in err for err in errors)
 
 
 def test_parallel_bench_matches_serial(tmp_path):

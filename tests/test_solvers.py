@@ -2,6 +2,7 @@ import itertools
 import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,15 @@ class TestIlpExport:
         assert text.endswith("End\n")
 
 
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def py_stub(code: str) -> str:
     return f"{sys.executable} -c {shlex.quote(code)} {{instance}}"
 
@@ -414,6 +424,28 @@ class TestExternalAdapter:
         )
         res = run_external(py_stub(code), c5, budget=10.0)
         assert res.clique_size == 2
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    @pytest.mark.parametrize("killed", [True, False], ids=["budget_kill", "exit"])
+    def test_no_process_it_started_outlives_it(self, k3, tmp_path, killed):
+        # the stub starts a sleeper, with its own stdout so an exit is not
+        # held up by it, then exits or waits for the budget kill
+        pid_file = tmp_path / "sleeper.pid"
+        code = (
+            "import subprocess, sys, time\n"
+            "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(20)'],"
+            " stdout=subprocess.DEVNULL)\n"
+            f"open({str(pid_file)!r}, 'w').write(str(sleeper.pid))\n"
+            "print('clique 2', flush=True)\n"
+            + ("time.sleep(20)\n" if killed else "")
+        )
+        res = run_external(py_stub(code), k3, budget=3.0)
+        assert res.budget_exhausted is killed and res.clique_size == 2
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
 
     def test_missing_placeholder_rejected(self, k3):
         with pytest.raises(ValueError):

@@ -74,11 +74,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    """Rank the portfolio for each instance of a features CSV, at the (z1, z2)
+    coordinates that ``projection.isa`` (``--projection``, or the file next to
+    the model) gives it: the one input space the selector reads."""
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    # numpy and the model code load here, so the other commands start without them
-    import numpy as np
-
+    # the model code, and numpy with it, loads here, so the other commands start without it
     from .features import FEATURE_NAMES, read_features_csv
     from .isa import project_many, read_projection_model
     from .selector import predict as selector_predict
@@ -88,20 +89,13 @@ def _cmd_predict(args) -> int:
     ids, X, _ = read_features_csv(args.features)
     if not ids:
         raise PipelineError(f"{args.features}: no instances")
-    if model.input_space == "z":
-        projection_path = args.projection or Path(args.model).parent / "projection.isa"
-        if not Path(projection_path).exists():
-            raise PipelineError(
-                "model expects projected inputs; pass --projection <projection.isa>"
-            )
-        projection = read_projection_model(projection_path)
-        inputs = project_many(projection, X, FEATURE_NAMES)
-    else:
-        columns = [FEATURE_NAMES.index(n) for n in model.feature_names]
-        inputs = X[:, columns]
+    projection_path = args.projection or Path(args.model).parent / "projection.isa"
+    if not Path(projection_path).exists():
+        raise PipelineError(f"{projection_path} does not exist; pass --projection <file>")
+    inputs = project_many(read_projection_model(projection_path), X, FEATURE_NAMES)
     top = min(args.top, len(model.solver_ids))
     for i, iid in enumerate(ids):
-        ranking = selector_predict(model, np.asarray(inputs[i]))[:top]
+        ranking = selector_predict(model, inputs[i])[:top]
         print(f"{iid}: " + " ".join(f"{sid}={score:.6f}" for sid, score in ranking))
     return EXIT_OK
 

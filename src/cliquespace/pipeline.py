@@ -5,13 +5,15 @@ budgets, thresholds, output directory, seed).  Each stage reads its
 predecessors' artifacts from the output directory and writes its own.
 The stage table (``_STAGES``) is the one list of the files and config
 fields each stage reads; the files are the corpus for ``ingest`` and
-artifacts for the others.  Every artifact embeds the tool version, a
-hash of the whole semantic config (provenance only) and an inputs hash
-of the stage's own fields and files (see ``artifacts``).  A stage whose
-outputs carry the current tool and inputs hash is skipped, so a config
-edit re-runs the stages that read the key, and, as each re-run writes a
-new inputs hash into its outputs, the stages that read those; the
-benchmarking stage also resumes from its journal.
+artifacts for the others.  The selector stages (``train``, ``report``)
+read one input space, the (z1, z2) coordinates in ``projections.csv``.
+Every artifact embeds the tool version, a hash of the whole semantic
+config (provenance only) and an inputs hash of the stage's own fields
+and files (see ``artifacts``).  A stage whose outputs carry the current
+tool and inputs hash is skipped, so a config edit re-runs the stages
+that read the key, and, as each re-run writes a new inputs hash into
+its outputs, the stages that read those; the benchmarking stage also
+resumes from its journal.
 """
 
 from __future__ import annotations
@@ -139,7 +141,6 @@ class PipelineConfig:
     feature_budget: float = 120.0
     correlation_threshold: float = 0.8
     good_tolerance: float = 0.05
-    selector_input: str = "z"
     seed: int = 0
     output_dir: Path = Path("out")
     base_dir: Path = Path(".")
@@ -165,8 +166,6 @@ class PipelineConfig:
             raise ConfigError("thresholds.correlation: must lie in [0, 1)")
         if not 0.0 <= self.good_tolerance < math.inf:
             raise ConfigError("thresholds.good_tolerance: must be non-negative and finite")
-        if self.selector_input not in ("z", "features"):
-            raise ConfigError("selector.input: must be 'z' or 'features'")
         if self.jobs < 1:
             raise ConfigError("run.jobs: must be at least 1")
 
@@ -184,7 +183,6 @@ _KEYS = {
     "run.jobs": ("jobs", int),
     "thresholds.correlation": ("correlation_threshold", float),
     "thresholds.good_tolerance": ("good_tolerance", float),
-    "selector.input": ("selector_input", str),
 }
 
 
@@ -547,33 +545,17 @@ def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
     log(f"isa-footprint: {len(rows)} solver footprints")
 
 
-def _selector_inputs(
-    config: PipelineConfig, input_space: str, ids: list[str], Z: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    """Training/evaluation inputs in ``input_space``, ``z`` or ``features``."""
-    if input_space == "z":
-        return Z, ("z1", "z2")
-    f_ids, X, _ = read_features_csv(config.artifact("features.csv"))
-    return X[_positions(f_ids, ids, "features.csv")], FEATURE_NAMES
-
-
 def _stage_train(config: PipelineConfig, meta: dict, log) -> None:
     ids, Z, _, _ = read_projections(config.artifact("projections.csv"))
-    inputs, names = _selector_inputs(config, config.selector_input, ids, Z)
     matrix = _aligned(_performance(config), ids)
-    model = train(
-        inputs,
-        matrix.good,
-        matrix.solver_ids,
-        names,
-        input_space=config.selector_input,
-        seed=config.seed,
-    )
+    model = train(Z, matrix.good, matrix.solver_ids, ("z1", "z2"), seed=config.seed)
     write_selector_model(model, config.artifact("selector.isa"), meta)
     priors = sum(1 for c in model.classifiers.values() if not hasattr(c, "gamma"))
+    unconverged = model.unconverged_fits
     log(
         f"train: {len(model.solver_ids)} classifiers over {len(ids)} instances"
         + (f" ({priors} degenerate, using priors)" if priors else "")
+        + (f"; {unconverged} SVM fit(s) stopped at the step limit" if unconverged else "")
     )
 
 
@@ -585,9 +567,8 @@ def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
     _, rows = read_table(footprints, _FOOTPRINT_COLUMNS, PipelineError, list)
     boundary = cloister_boundary(Z)
     model = read_selector_model(config.artifact("selector.isa"))
-    inputs, _ = _selector_inputs(config, model.input_space, ids, Z)
     k = min(2, len(model.solver_ids))
-    evaluation = evaluate_topk(model, inputs, best, k=k, instance_ids=ids)
+    evaluation = evaluate_topk(model, Z, best, k=k, instance_ids=ids)
     counts = {b: best.count(b) for b in set(best)}
     majority = max(counts.values()) / len(best)
 
@@ -668,15 +649,15 @@ _STAGES = {
         _Stage(
             "train",
             _stage_train,
-            _reads("projections.csv", "runs.csv", "features.csv"),
+            _reads("projections.csv", "runs.csv"),
             ("selector.isa",),
-            ("good_tolerance", "selector_input", "seed"),
+            ("good_tolerance", "seed"),
             lambda config: read_model(config.artifact("selector.isa"), "selector"),
         ),
         _Stage(
             "report",
             _stage_report,
-            _reads("projections.csv", "footprints.csv", "selector.isa", "features.csv"),
+            _reads("projections.csv", "footprints.csv", "selector.isa"),
             ("report.csv", "scatter.svg"),
         ),
     )

@@ -1,9 +1,10 @@
 """Per-solver classifier bank: training, ranking prediction, top-k scoring.
 
 One binary RBF classifier per solver is trained on that solver's
-good/bad labels (one-vs-rest over the portfolio), with hyperparameters
-chosen by stratified cross-validation maximizing mean F1.  Solvers whose
-labels are degenerate (fewer than two good or two bad instances) get a
+good/bad labels (one-vs-rest over the portfolio) at the instances'
+(z1, z2) coordinates, with hyperparameters chosen by stratified
+cross-validation maximizing mean F1.  Solvers whose labels are
+degenerate (fewer than two good or two bad instances) get a
 constant-score classifier equal to their empirical good rate, which
 keeps them present in rankings; when every solver's labels are
 degenerate, the bank ranks the portfolio by good rate alone.
@@ -41,11 +42,15 @@ class PriorClassifier:
 
 @dataclass(frozen=True)
 class SelectorModel:
-    input_space: str  # "z" or "features"
     feature_names: tuple[str, ...]
     solver_ids: tuple[str, ...]
     classifiers: dict
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def unconverged_fits(self) -> int:
+        """SVM fits of ``train`` that stopped at the step limit, from the metadata."""
+        return sum(int(v.partition("unconverged_fits=")[2] or 0) for v in self.metadata.values())
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,9 @@ def train(
     boolean.  Hyperparameters per solver are picked by stratified
     k-fold (k = min(5, #good, #bad)) cross-validation maximizing mean
     F1, then the classifier is refit on the full corpus.  Deterministic
-    given ``seed``.
+    given ``seed``.  ``input_space`` must be ``"z"``, the one input space.
+    A solver's ``hyper.<id>`` metadata ends in ``unconverged_fits=<k>``
+    when k of its SVM fits stopped at the step limit.
     """
     X = np.asarray(inputs, dtype=float)
     good = np.asarray(good, dtype=bool)
@@ -117,7 +124,7 @@ def train(
         raise SelectorError("non-finite training inputs")
     if good.shape != (X.shape[0], len(solver_ids)):
         raise SelectorError("good-label matrix does not match corpus x portfolio")
-    if input_space not in ("z", "features"):
+    if input_space != "z":
         raise SelectorError(f"unknown input space {input_space!r}")
 
     classifiers: dict = {}
@@ -135,22 +142,27 @@ def train(
         folds = _stratified_folds(labels, n_folds, rng)
         y_signed = np.where(labels, 1.0, -1.0)
         best_score, best_hyper = -1.0, DEFAULT_GRID[0]
+        unconverged = 0
         for c_val, gamma in DEFAULT_GRID:
             scores = []
             for fold in folds:
                 val_mask = np.zeros(X.shape[0], dtype=bool)
                 val_mask[fold] = True
                 clf = train_svm(X[~val_mask], y_signed[~val_mask], C=c_val, gamma=gamma)
+                unconverged += not clf.converged
                 predicted = clf.decision(X[val_mask]) > 0
                 scores.append(_f1(labels[val_mask], predicted))
             mean_f1 = float(np.mean(scores))
             if mean_f1 > best_score + 1e-12:
                 best_score, best_hyper = mean_f1, (c_val, gamma)
         c_val, gamma = best_hyper
-        classifiers[solver_id] = train_svm(X, y_signed, C=c_val, gamma=gamma)
-        metadata[f"hyper.{solver_id}"] = f"C={c_val:g} gamma={gamma:g} cv_f1={best_score:.4f}"
+        classifiers[solver_id] = clf = train_svm(X, y_signed, C=c_val, gamma=gamma)
+        unconverged += not clf.converged
+        metadata[f"hyper.{solver_id}"] = (
+            f"C={c_val:g} gamma={gamma:g} cv_f1={best_score:.4f}"
+            + (f" unconverged_fits={unconverged}" if unconverged else "")
+        )
     return SelectorModel(
-        input_space=input_space,
         feature_names=feature_names,
         solver_ids=solver_ids,
         classifiers=classifiers,
@@ -243,7 +255,6 @@ def write_selector_model(
     model: SelectorModel, path: str | Path, file_meta: dict | None = None
 ) -> None:
     body = {
-        "input_space": model.input_space,
         "metadata": {key: str(model.metadata[key]) for key in sorted(model.metadata)},
         "features": list(model.feature_names),
         "solvers": [_classifier_body(s, model.classifiers[s]) for s in model.solver_ids],
@@ -253,11 +264,16 @@ def write_selector_model(
 
 def read_selector_model(path: str | Path) -> SelectorModel:
     body = read_model(path, "selector")
+    # a body without the key, or with "z", is a model over (z1, z2)
+    if body.get("input_space", "z") != "z":
+        raise ModelFormatError(
+            f"{path}: a selector over input space {body['input_space']!r}, which is no "
+            "longer supported; delete it and re-run the train stage to write it again"
+        )
     try:
         feature_names = tuple(body["features"])
         solvers = body["solvers"]
         return SelectorModel(
-            input_space=body["input_space"],
             feature_names=feature_names,
             solver_ids=tuple(spec["id"] for spec in solvers),
             classifiers={

@@ -4,7 +4,8 @@ The trainer solves the SVM dual with sequential minimal optimization on
 the maximal violating pair (Keerthi et al., Neural Computation 2001; WSS1
 in Fan, Chen & Lin, JMLR 2005).  It keeps the dual gradient and, at each
 step, moves the pair of multipliers that violates the KKT conditions most,
-until their gap falls below 1e-3.  Class-balanced box constraints
+until their gap falls below 1e-3 or ``_MAX_STEPS`` steps have run; a fit
+records which (``converged``).  Class-balanced box constraints
 C * w_i give each class half the weight.  No step draws a random number,
 so a fit depends on its inputs alone.
 """
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _TOL = 1e-3
-_MAX_STEPS = 100_000  # a guard only: with a tolerance above 0 the pair steps terminate
+# reached by ill-conditioned fits (large C and gamma on noisy labels), which
+# then stop short of the tolerance and record it
+_MAX_STEPS = 100_000
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -36,6 +39,7 @@ class SvmClassifier:
     bias: float
     gamma: float
     hyper_c: float  # training C, kept for provenance
+    converged: bool = True  # false when the fit stopped at _MAX_STEPS; not in model files
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         """One decision value per row of ``x``."""
@@ -66,6 +70,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float, gamma: float) -> SvmClassi
     K = rbf_kernel(X, X, gamma)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # Q alpha - 1, with Q = K * y y^T
+    converged = False
     for _ in range(_MAX_STEPS):
         score = -y * grad
         up, low = _up_low(alpha, box, pos)
@@ -73,6 +78,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float, gamma: float) -> SvmClassi
         j = int(np.argmin(np.where(low, score, np.inf)))
         gap = score[i] - score[j]
         if gap < _TOL:
+            converged = True
             break
         # move along y_i e_i - y_j e_j, clipped to the box of both multipliers
         room_i = box[i] - alpha[i] if pos[i] else alpha[i]
@@ -103,6 +109,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float, gamma: float) -> SvmClassi
         bias=float(b),
         gamma=float(gamma),
         hyper_c=float(C),
+        converged=converged,
     )
 
 

@@ -3,7 +3,10 @@
 The graph is written as a DIMACS .clq file into a private temp
 directory, the command template's ``{instance}`` placeholder is replaced
 with that path, and the process is supervised with a hard kill at the
-budget.  The output is read line by line:
+budget.  Its stdout goes to a file in the same directory, not a pipe, so
+the wait ends when the process exits, even when a process it started
+still holds that file open.  The output is read, line by line, once the
+process has exited or been killed:
 
 - ``clique <int>`` reports an incumbent size; the largest wins.
 - ``v <id> <id> ...`` lists the clique's vertices, 1-based; the last
@@ -88,32 +91,30 @@ def run_external(
             arg.replace("{instance}", str(instance_path))
             for arg in shlex.split(cmd_template)
         ]
+        output = Path(tmp) / "stdout.txt"
         # checked and started here: instance conversion is not measured
         clock = Budget(budget)
         killed = False
+        with output.open("wb") as out:
+            try:
+                # its own process group, so a kill reaches the processes it starts
+                proc = subprocess.Popen(
+                    argv, stdout=out, stderr=subprocess.DEVNULL, start_new_session=True
+                )
+            except OSError as exc:
+                raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
         try:
-            # its own process group, so a kill reaches the processes it starts
-            proc = subprocess.Popen(
-                argv,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                errors="replace",
-                start_new_session=True,
-            )
-        except OSError as exc:
-            raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
-        try:
-            stdout, _ = proc.communicate(timeout=budget)
+            proc.wait(timeout=budget)
         except subprocess.TimeoutExpired:
             killed = True
             _kill_group(proc.pid)
-            stdout, _ = proc.communicate()  # what it printed before the kill
+            proc.wait()
         finally:
             # what it left running; on an interrupt too, as a session of its
             # own gets no Ctrl-C from the terminal
             _kill_group(proc.pid)
         measured = clock.elapsed()
+        stdout = output.read_text(errors="replace")  # what it printed before any kill
 
     verts, size, reported = _parse_output(stdout)
     if not killed and proc.returncode != 0:

@@ -20,7 +20,7 @@ from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
 from cliquespace.features import FEATURE_NAMES, read_features_csv
 from cliquespace.graph import GraphFormat, generate, serialize
-from cliquespace.selector import PriorClassifier, read_selector_model
+from cliquespace.selector import PriorClassifier, read_selector_model, svm
 from cliquespace.pipeline import (
     STAGE_ORDER,
     PipelineConfig,
@@ -136,8 +136,9 @@ def test_load_config_rejects_non_integer_jobs(tmp_path):
         ("[run]\nsolver_budgte = 5\n", "run.solver_budgte"),  # would keep 1800 s
         ("[isa]\nprojection = pilot\n", "isa.projection"),
         ("[DEFAULT]\nwarp = builtin\n", "DEFAULT.warp"),  # would join the portfolio
+        ("[selector]\ninput = z\n", "selector.input"),  # the selector reads (z1, z2) only
     ],
-    ids=["misspelled", "unknown-section", "default-section"],
+    ids=["misspelled", "unknown-section", "default-section", "removed-selector-input"],
 )
 def test_config_rejects_unknown_keys(tmp_path, text, key):
     bad = tmp_path / "bad.ini"
@@ -594,7 +595,6 @@ _CHANGED_FIELDS = {
     "feature_budget": 7.0,
     "correlation_threshold": 0.3,
     "good_tolerance": 0.5,
-    "selector_input": "features",
     "seed": 1,
 }
 
@@ -647,6 +647,17 @@ def test_v1_model_body_reruns_its_stage(completed_pipeline, tmp_path):
     assert [stage for stage, status in statuses if status == "ran"] == ["train"]
     assert read_model(target, "selector")["version"] == 2
     assert config.artifact("report.csv").read_bytes() == report_before
+
+
+def test_train_logs_fits_that_stop_at_the_step_limit(completed_pipeline, tmp_path, monkeypatch):
+    config = load_config(_copy_campaign(completed_pipeline, tmp_path))
+    config.artifact("selector.isa").unlink()
+    monkeypatch.setattr(svm, "_MAX_STEPS", 1)  # no fit meets the tolerance in one step
+    logged = []
+    run_pipeline(config, ["train"], log=logged.append)
+    unconverged = read_selector_model(config.artifact("selector.isa")).unconverged_fits
+    assert unconverged > 0
+    assert logged[-1].endswith(f"; {unconverged} SVM fit(s) stopped at the step limit")
 
 
 @pytest.mark.parametrize(
@@ -981,18 +992,6 @@ def test_cli_predict_reads_an_explicit_projection(completed_pipeline, tmp_path, 
     )
     assert len(default) == count
     assert explicit == default
-
-
-def test_cli_predict_with_a_feature_space_model(completed_pipeline, tmp_path, capsys):
-    edit = ("[run]", "[selector]\ninput = features\n\n[run]")
-    config = load_config(_copy_campaign(completed_pipeline, tmp_path, edit))
-    run_pipeline(config)
-    assert read_selector_model(config.artifact("selector.isa")).input_space == "features"
-    ids, _, _ = read_features_csv(config.artifact("features.csv"))
-    lines = _predict_lines(
-        capsys, config.artifact("selector.isa"), config.artifact("features.csv")
-    )
-    assert [ln.split(": ", 1)[0] for ln in lines] == list(ids)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -19,6 +19,7 @@ from cliquespace.selector import (
     predict,
     rbf_kernel,
     read_selector_model,
+    svm,
     train,
     train_svm,
     write_selector_model,
@@ -121,6 +122,19 @@ def test_svm_reaches_the_dual_optimum(C, gamma):
         assert _dual_objective(alpha, Q) - best <= 1e-4 * abs(best)
 
 
+def test_svm_records_a_fit_that_stops_at_the_step_limit():
+    # a fifth of the labels flipped, at C = 100 and gamma = 1: the gap stays
+    # above the tolerance after all 100,000 steps
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(800, 2))
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    y[rng.random(800) < 0.2] *= -1
+    assert not train_svm(X, y, C=100.0, gamma=1.0).converged
+    # a small separable corpus converges
+    X, good, _ = two_blobs(seed=3)
+    assert train_svm(X, np.where(good[:, 0], 1.0, -1.0), C=10.0, gamma=0.5).converged
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -168,7 +182,6 @@ def test_constant_rankings_hit_uniform_truth_at_chance():
     rng = np.random.default_rng(13)
     solver_ids = ("a", "b", "c", "d")
     model = SelectorModel(
-        input_space="z",
         feature_names=("z1", "z2"),
         solver_ids=solver_ids,
         classifiers={
@@ -220,6 +233,19 @@ def test_hyperparameters_recorded_per_solver():
     for solver_id in ("left", "right"):
         line = model.metadata[f"hyper.{solver_id}"]
         assert "C=" in line and "gamma=" in line
+
+
+def test_fits_stopped_at_the_step_limit_are_counted_per_solver(monkeypatch):
+    X, good, _ = two_blobs(seed=23)
+    plain = train(X, good, ["left", "right"], ["z1", "z2"], seed=0)
+    assert not any("unconverged" in v for v in plain.metadata.values())
+    assert plain.unconverged_fits == 0
+    monkeypatch.setattr(svm, "_MAX_STEPS", 1)  # no fit meets the tolerance in one step
+    model = train(X, good, ["left", "right"], ["z1", "z2"], seed=0)
+    # 5 folds at each of the 12 grid points, then the refit
+    for solver_id in ("left", "right"):
+        assert model.metadata[f"hyper.{solver_id}"].endswith(" unconverged_fits=61")
+    assert model.unconverged_fits == 122
 
 
 def test_degenerate_solver_gets_prior_classifier():
@@ -279,7 +305,6 @@ def test_prediction_input_validation():
 
 def test_prediction_ties_break_lexicographically():
     model = SelectorModel(
-        input_space="z",
         feature_names=("z1",),
         solver_ids=("zeta", "alpha", "mid"),
         classifiers={
@@ -317,7 +342,6 @@ def test_selector_model_file_round_trip(tmp_path):
     path = tmp_path / "selector.isa"
     write_selector_model(model, path)
     loaded = read_selector_model(path)
-    assert loaded.input_space == model.input_space
     assert loaded.feature_names == model.feature_names
     assert loaded.solver_ids == model.solver_ids
     assert loaded.metadata == {
@@ -387,6 +411,33 @@ def test_selector_file_rejects_misshapen_classifiers(tmp_path):
     ):
         with pytest.raises(ModelFormatError, match=re.escape(str(path))):
             read_selector_model(edited(edit))
+
+
+def test_selector_file_over_feature_space_asks_for_retraining(tmp_path):
+    X, good, _ = two_blobs(seed=67)
+    path = tmp_path / "selector.isa"
+    write_selector_model(train(X, good, ["left", "right"], ["z1", "z2"], seed=0), path)
+    body = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(body, input_space="features")) + "\n")
+    with pytest.raises(ModelFormatError) as info:
+        read_selector_model(path)
+    assert str(path) in str(info.value)
+    assert "delete it" in str(info.value) and "train" in str(info.value)
+
+
+def test_selector_file_with_a_z_input_space_key_still_reads(tmp_path):
+    # every file written before the single input space says "input_space": "z"
+    X, good, _ = two_blobs(seed=71)
+    without = tmp_path / "without.isa"
+    write_selector_model(train(X, good, ["left", "right"], ["z1", "z2"], seed=0), without)
+    body = json.loads(without.read_text())
+    assert "input_space" not in body
+    with_key = tmp_path / "with.isa"
+    with_key.write_text(json.dumps(dict(body, input_space="z")) + "\n")
+    old, new = read_selector_model(with_key), read_selector_model(without)
+    assert old.feature_names == new.feature_names and old.metadata == new.metadata
+    for probe in np.random.default_rng(71).normal(size=(10, 2)):
+        assert predict(old, probe) == predict(new, probe)
 
 
 def test_projection_file_is_not_a_selector(tmp_path):

@@ -447,6 +447,18 @@ class TestExternalAdapter:
             time.sleep(0.05)
         assert not _running(pid)
 
+    def test_exit_ends_the_wait_while_a_child_holds_its_stdout(self, k3):
+        # the sleeper inherits the stub's stdout and outlives the stub's exit
+        code = (
+            "import subprocess, sys\n"
+            "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(20)'])\n"
+            "print('clique 2', flush=True)\n"
+        )
+        start = time.monotonic()
+        res = run_external(py_stub(code), k3, budget=5.0)
+        assert not res.budget_exhausted and res.clique_size == 2
+        assert time.monotonic() - start < 4.0
+
     def test_missing_placeholder_rejected(self, k3):
         with pytest.raises(ValueError):
             run_external("echo clique 1", k3, budget=1.0)

@@ -3,7 +3,9 @@
 Every feature is polynomial-time: counting and degree statistics are
 linear; girth, the geodesic-distance statistics, closeness and
 betweenness all come from one breadth-first search per source over a
-CSR adjacency built once per instance, O(|V|*|E|) in total; and the
+CSR adjacency built once per instance, O(|V|*|E|) in total, whose
+dependency pass walks the shortest-path edges that search found
+(Brandes 2001), holding at most one pair per edge per source; and the
 spectral block fills one dense n-by-n buffer from that CSR, takes the
 adjacency eigenvalues, solves the shifted adjacency for eigenvector
 centrality, then overwrites the buffer with the Laplacian for its
@@ -134,6 +136,10 @@ def _shortest_path_sweep(indptr, indices, budget: Budget):
     normalized by C(n-1, 2).  A same-level edge at depth d closes an odd
     cycle of length 2d+1; a node reached from two depth-d parents closes
     an even one of length 2d+2; the minimum over all sources is the girth.
+
+    The dependency pass walks, in reverse, the shortest-path edges the
+    forward search found (Brandes 2001), at most one pair per edge per
+    source, so no neighborhood is gathered twice.
     """
     n = len(indptr) - 1
     girth = math.inf
@@ -146,34 +152,32 @@ def _shortest_path_sweep(indptr, indices, budget: Budget):
         dist[s] = 0
         sigma = np.zeros(n)
         sigma[s] = 1.0
-        levels = [np.array([s], dtype=np.int64)]
+        frontier = np.array([s], dtype=np.int64)
+        edges = []  # (u, v) per level: the shortest-path edges from level d into d + 1
         d = 0
         while True:
-            srcs, nbrs = _gather(indptr, indices, levels[-1])
+            srcs, nbrs = _gather(indptr, indices, frontier)
             nbr_dist = dist[nbrs]
             if 2 * d + 1 < girth and (nbr_dist == d).any():
                 girth = 2 * d + 1
             into_next = nbr_dist == -1
-            fresh = np.unique(nbrs[into_next])
-            if fresh.size == 0:
+            frontier = np.unique(nbrs[into_next])
+            if frontier.size == 0:
                 break
-            dist[fresh] = d + 1
-            if 2 * d + 2 < girth and into_next.sum() > fresh.size:
+            dist[frontier] = d + 1
+            if 2 * d + 2 < girth and into_next.sum() > frontier.size:
                 girth = 2 * d + 2
-            sigma += np.bincount(nbrs[into_next], weights=sigma[srcs[into_next]], minlength=n)
-            levels.append(fresh)
+            u, v = srcs[into_next], nbrs[into_next]
+            sigma += np.bincount(v, weights=sigma[u], minlength=n)
+            edges.append((u, v))
             d += 1
         if (dist < 0).any():
             raise DisconnectedGraphError("shortest-path features need a connected graph")
         hist += np.bincount(dist[s + 1 :], minlength=n)
         dist_sums[s] = dist.sum()
         delta = np.zeros(n)
-        for lev in range(len(levels) - 1, 0, -1):
-            srcs, nbrs = _gather(indptr, indices, levels[lev - 1])
-            sel = dist[nbrs] == lev
-            if sel.any():
-                contrib = sigma[srcs[sel]] / sigma[nbrs[sel]] * (1.0 + delta[nbrs[sel]])
-                delta += np.bincount(srcs[sel], weights=contrib, minlength=n)
+        for u, v in reversed(edges):
+            delta += np.bincount(u, weights=sigma[u] / sigma[v] * (1.0 + delta[v]), minlength=n)
         delta[s] = 0.0
         bc += delta
     bc /= 2.0  # each unordered pair contributes from both endpoints

@@ -225,6 +225,23 @@ class TestShortestPathSweep:
         with pytest.raises(DisconnectedGraphError):
             _shortest_path_sweep(*_csr(two_triangles), Budget(60.0))
 
+    @pytest.mark.parametrize("kind, n, calls", [("cycle", 12, 84), ("path", 7, 40)])
+    def test_gathers_each_level_once_per_source(self, monkeypatch, kind, n, calls):
+        # the dependency pass walks the edges the forward search kept, so
+        # the only neighborhood gathers are one per BFS level (eccentricity
+        # + 1, counting the level that finds nothing new) per source
+        real_gather = features._gather
+        count = 0
+
+        def counting_gather(*args):
+            nonlocal count
+            count += 1
+            return real_gather(*args)
+
+        monkeypatch.setattr(features, "_gather", counting_gather)
+        _shortest_path_sweep(*_csr(generate(kind, n)), Budget(60.0))
+        assert count == calls
+
 
 # Long paths (small spectral gaps), a star, a complete bipartite graph and
 # an even cycle, beside two random graphs.

@@ -6,7 +6,9 @@ Only that leading block is metadata: a later line starting with ``#``,
 such as the row of an instance whose file stem starts with ``#``, is data.
 The body is CSV for tables and one JSON object for model files.  Every
 artifact is written whole or not at all (``open_whole``), so a header
-that marks a file as current never heads a partial body.
+that marks a file as current never heads a partial body.  ``cell`` writes
+every CSV cell and metadata value; a table's columns are declared once,
+each name with its type, by which ``read_table`` parses each cell.
 """
 
 from __future__ import annotations
@@ -27,9 +29,26 @@ _MODEL_VERSION = 2
 _MODEL_STAGES = {"projection": "isa-fit", "selector": "train"}
 
 
-def _write_meta(fh, meta: dict[str, str] | None) -> None:
+def cell(value) -> str:
+    """A bool as ``true`` or ``false``, a float (numpy's float64 is one) as
+    ``repr(float(value))``, anything else as ``str(value)``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def flag(text: str) -> bool:
+    """The bool of a ``true`` or ``false`` cell; any other text raises ValueError."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def _write_meta(fh, meta: dict | None) -> None:
     for key, value in (meta or {}).items():
-        fh.write(f"# {key}={value}\n")
+        fh.write(f"# {key}={cell(value)}\n")
 
 
 @contextmanager
@@ -47,16 +66,21 @@ def open_whole(path: str | Path):
         part.unlink(missing_ok=True)
 
 
-def write_table(path: str | Path, columns, rows, meta: dict[str, str] | None) -> None:
-    """A CSV artifact: the metadata block, the header ``columns``, then ``rows``."""
+def write_rows(fh, rows) -> None:
+    """Each row of values as one CSV line of ``cell`` texts."""
+    csv.writer(fh).writerows([cell(v) for v in row] for row in rows)
+
+
+def write_table(path: str | Path, columns, rows, meta: dict | None) -> None:
+    """A CSV artifact: the metadata block, the names of ``columns`` (a dict
+    of name to type, or (name, type) pairs), then ``rows`` of values."""
     with open_whole(path) as fh:
         _write_meta(fh, meta)
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(dict(columns))
+        write_rows(fh, rows)
 
 
-def write_model(path: str | Path, kind: str, body: dict, meta: dict[str, str] | None) -> None:
+def write_model(path: str | Path, kind: str, body: dict, meta: dict | None) -> None:
     """A model file: the metadata block, then ``body`` as one JSON object
     tagged with the ``kind``'s format name and the model version."""
     model = {"format": f"cliquespace-{kind}-model", "version": _MODEL_VERSION, **body}
@@ -65,8 +89,8 @@ def write_model(path: str | Path, kind: str, body: dict, meta: dict[str, str] | 
         fh.write(json.dumps(model) + "\n")
 
 
-def svg_meta_lines(meta: dict[str, str] | None) -> list[str]:
-    return [f"<!-- {key}={value} -->" for key, value in (meta or {}).items()]
+def svg_meta_lines(meta: dict | None) -> list[str]:
+    return [f"<!-- {key}={cell(value)} -->" for key, value in (meta or {}).items()]
 
 
 def _split_meta(lines) -> tuple[dict[str, str], int]:
@@ -118,27 +142,30 @@ def read_model(path: str | Path, kind: str) -> dict:
 def read_table(path: str | Path, columns, error, parse, text: str | None = None):
     """Metadata and parsed rows of a CSV artifact: ``(meta, rows)``.
 
-    The header must equal ``columns`` and every row must have as many
-    fields; ``parse`` turns a row's fields into the returned value and
-    raises ValueError or ``error`` on a bad field.  Any of these faults
+    The header must be the names of ``columns`` (as for ``write_table``),
+    and each field is parsed by its column's type (a bool by ``flag``);
+    ``parse`` turns a row's list of values into the returned value and
+    raises ValueError or ``error`` on a bad one.  Any of these faults
     raises ``error`` naming ``path:line``.  ``text`` stands in for the
     file's contents when the caller has already read them.
     """
     if text is None:
         with Path(path).open(newline="") as fh:
             text = fh.read()
+    columns = dict(columns)
+    readers = [flag if kind is bool else kind for kind in columns.values()]
     lines = io.StringIO(text, newline="").readlines()
     meta, start = _split_meta(lines)
     reader = csv.reader(lines[start:])
     header = next(reader, None)
-    if header is None or tuple(header) != tuple(columns):
+    if header != list(columns):
         raise error(f"{path}:{start + 1}: expected header {','.join(columns)}, got {header}")
     rows = []
     for fields in reader:
         try:
-            if len(fields) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
-            rows.append(parse(fields))
+            if len(fields) != len(readers):
+                raise ValueError(f"expected {len(readers)} fields, got {len(fields)}")
+            rows.append(parse([read(f) for read, f in zip(readers, fields)]))
         except (ValueError, error) as exc:
             raise error(f"{path}:{start + reader.line_num}: malformed row ({exc})") from None
     return meta, rows

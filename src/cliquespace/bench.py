@@ -13,18 +13,18 @@ the max-normalization denominators.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .artifacts import read_table, write_table
+from .artifacts import read_table, write_rows, write_table
 from .errors import ScoringError
 from .graph import Budget, Graph, parse_path
 
@@ -47,7 +47,7 @@ DEFAULT_GOOD_TOLERANCE = 0.05
 @dataclass(frozen=True)
 class RunRecord:
     """One solver execution on one instance, immutable once journaled; its
-    fields are the journal's columns.  A run no solver can make raises
+    typed fields are the journal's columns.  A run no solver can make raises
     ScoringError: a wall time outside ``[0, inf)``, a status other than
     ``ok`` or ``failed``, a clique of size 0 on an ``ok`` run, or below 0."""
 
@@ -69,7 +69,7 @@ class RunRecord:
             raise ScoringError(f"impossible clique size {self.clique_size} on {self.solver_id}")
 
 
-JOURNAL_COLUMNS = tuple(f.name for f in fields(RunRecord))
+JOURNAL_COLUMNS = get_type_hints(RunRecord)
 
 
 def score_instance(records: list[RunRecord]) -> dict[str, float]:
@@ -179,25 +179,7 @@ class PerformanceMatrix:
 def write_journal(
     path: str | Path, records: list[RunRecord], meta: dict[str, str] | None = None
 ) -> None:
-    write_table(path, JOURNAL_COLUMNS, (_journal_row(r) for r in records), meta)
-
-
-def _journal_row(r: RunRecord) -> list[str]:
-    return [
-        r.instance_id,
-        r.solver_id,
-        str(r.clique_size),
-        repr(float(r.wall_seconds)),
-        "true" if r.proven_optimal else "false",
-        r.status,
-    ]
-
-
-def _record_from_row(row: list[str]) -> RunRecord:
-    instance_id, solver_id, size, wall, proven, status = row
-    if proven not in ("true", "false"):
-        raise ValueError(f"bad proven_optimal field {proven!r}")
-    return RunRecord(instance_id, solver_id, int(size), float(wall), proven == "true", status)
+    write_table(path, JOURNAL_COLUMNS, map(astuple, records), meta)
 
 
 def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
@@ -209,7 +191,9 @@ def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
     """
     data = Path(path).read_bytes()
     text = data[: _complete_length(data)].decode()
-    meta, records = read_table(path, JOURNAL_COLUMNS, ScoringError, _record_from_row, text)
+    meta, records = read_table(
+        path, JOURNAL_COLUMNS, ScoringError, lambda values: RunRecord(*values), text
+    )
     return records, meta
 
 
@@ -319,8 +303,9 @@ def run_campaign(
                 instance_id=instance_id,
                 solver_id=solver_id,
                 clique_size=result.clique_size,
-                wall_seconds=result.wall_seconds,
-                proven_optimal=result.proven_optimal,
+                # a Python float and bool: ``cell`` would write a numpy bool as True
+                wall_seconds=float(result.wall_seconds),
+                proven_optimal=bool(result.proven_optimal),
             )
         except Exception as exc:
             emit(f"solver {solver_id} failed on {instance_id}: {exc}")
@@ -335,7 +320,7 @@ def run_campaign(
         if journal_path is not None:
             with journal_lock:
                 with journal_path.open("a", newline="") as fh:
-                    csv.writer(fh).writerow(_journal_row(record))
+                    write_rows(fh, [astuple(record)])
                     fh.flush()
                     os.fsync(fh.fileno())
         return record

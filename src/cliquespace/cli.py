@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .artifacts import cell
 from .errors import CampaignFailureError, CliquespaceError, ConfigError, PipelineError
 from .graph import parse_path
 from .pipeline import STAGE_ORDER, load_config, require_budget, resolve_solver, run_pipeline
@@ -61,12 +62,10 @@ def _cmd_solve(args) -> int:
         flag = "--command" if args.command else f"--solver {args.solver}"
         raise ConfigError(f"{flag}: {exc}") from None
     result = solve(parse_path(args.instance).graph, args.budget)
-    proven = "true" if result.proven_optimal else "false"
-    exhausted = "true" if result.budget_exhausted else "false"
     print(
         f"instance={Path(args.instance).stem} solver={result.solver_id} "
-        f"clique={result.clique_size} proven={proven} "
-        f"wall={result.wall_seconds:.3f} budget_exhausted={exhausted}"
+        f"clique={result.clique_size} proven={cell(bool(result.proven_optimal))} "
+        f"wall={result.wall_seconds:.3f} budget_exhausted={cell(bool(result.budget_exhausted))}"
     )
     if result.clique:
         print("vertices=" + " ".join(str(v) for v in result.clique))

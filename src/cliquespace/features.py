@@ -95,6 +95,7 @@ class FeatureVector:
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f.name for f in fields(FeatureVector) if f.name != "timings"
 )
+_COLUMNS = {"instance_id": str, **dict.fromkeys(FEATURE_NAMES, float)}
 
 
 def _check(budget: Budget) -> None:
@@ -416,16 +417,15 @@ def write_features_csv(
     """One row per instance: instance_id plus the 35 canonical columns."""
     write_table(
         path,
-        ("instance_id",) + FEATURE_NAMES,
-        ([iid] + [repr(float(getattr(fv, n))) for n in FEATURE_NAMES] for iid, fv in rows),
+        _COLUMNS,
+        ([iid] + [getattr(fv, n) for n in FEATURE_NAMES] for iid, fv in rows),
         meta,
     )
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], np.ndarray, dict[str, str]]:
     """Returns (instance ids, matrix in canonical column order, meta)."""
-    columns = ("instance_id",) + FEATURE_NAMES
-    meta, rows = read_table(path, columns, ValueError, lambda f: (f[0], [float(x) for x in f[1:]]))
-    ids = [iid for iid, _ in rows]
-    data = np.array([values for _, values in rows], dtype=float)
+    meta, rows = read_table(path, _COLUMNS, ValueError, list)
+    ids = [row[0] for row in rows]
+    data = np.array([row[1:] for row in rows], dtype=float)
     return ids, data.reshape(len(ids), len(FEATURE_NAMES)), meta

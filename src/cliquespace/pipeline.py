@@ -86,18 +86,19 @@ def __getattr__(name: str):
 
 TOOL_VERSION = f"cliquespace/{__version__}"
 
-_MANIFEST_COLUMNS = (
-    "instance_id",
-    "path",
-    "format",
-    "nodes",
-    "edges",
-    "connected",
-    "usable",
-    "note",
-)
-_PROJECTION_COLUMNS = ("instance_id", "z1", "z2", "best_solver")
-_FOOTPRINT_COLUMNS = ("solver_id", "good_count", "best_count", "area", "density", "purity")
+# each table's columns and their types; corpus.csv's path is where ingest found the file
+_MANIFEST_COLUMNS = {
+    "instance_id": str, "path": str, "format": str, "nodes": int, "edges": int,
+    "connected": bool, "usable": bool, "note": str,
+}
+_SIFTED_COLUMNS = {
+    "feature": str, "max_abs_correlation": float, "kept_stage1": bool, "selected": bool
+}
+_PROJECTION_COLUMNS = {"instance_id": str, "z1": float, "z2": float, "best_solver": str}
+_FOOTPRINT_COLUMNS = {
+    "solver_id": str, "good_count": int, "best_count": int,
+    "area": float, "density": float, "purity": float,
+}
 # a failed run is journaled, so a re-run with the same portfolio and budget keeps it
 _ALL_RUNS_FAILED = (
     "every solver run failed; check budgets and solver commands, "
@@ -262,33 +263,26 @@ def resolve_corpus(config: PipelineConfig) -> list[Path]:
     return sorted(matches)
 
 
-def _manifest_row(fields: list[str]) -> dict:
-    row = dict(zip(_MANIFEST_COLUMNS, fields))
-    row["usable"] = row["usable"] == "true"
-    row["connected"] = row["connected"] == "true"
-    return row
-
-
 def read_manifest(path: Path) -> tuple[list[dict], dict]:
-    meta, rows = read_table(path, _MANIFEST_COLUMNS, PipelineError, _manifest_row)
+    meta, rows = read_table(
+        path, _MANIFEST_COLUMNS, PipelineError, lambda values: dict(zip(_MANIFEST_COLUMNS, values))
+    )
     return rows, meta
 
 
 def _usable_instances(config: PipelineConfig) -> list[tuple[str, Path]]:
-    rows, _ = read_manifest(config.artifact("corpus.csv"))
-    return [(r["instance_id"], Path(r["path"])) for r in rows if r["usable"]]
+    """Each usable instance and its file, found by stem through the corpus
+    globs where a moved campaign now is, else where ingest found it."""
+    files = {p.stem: p for p in resolve_corpus(config)}
+    usable = [r for r in read_manifest(config.artifact("corpus.csv"))[0] if r["usable"]]
+    return [(r["instance_id"], files.get(r["instance_id"], Path(r["path"]))) for r in usable]
 
 
 def read_projections(path: Path) -> tuple[list[str], np.ndarray, list[str], dict]:
     """Returns (instance ids, N x 2 coordinates, best solver ids, meta)."""
     import numpy as np
 
-    meta, rows = read_table(
-        path,
-        _PROJECTION_COLUMNS,
-        PipelineError,
-        lambda f: (f[0], float(f[1]), float(f[2]), f[3]),
-    )
+    meta, rows = read_table(path, _PROJECTION_COLUMNS, PipelineError, list)
     ids = [row[0] for row in rows]
     coords = np.array([row[1:3] for row in rows]).reshape(len(ids), 2)
     return ids, coords, [row[3] for row in rows], meta
@@ -362,8 +356,8 @@ def _stage_ingest(config: PipelineConfig, meta: dict, log) -> None:
             "format": "",
             "nodes": 0,
             "edges": 0,
-            "connected": "false",
-            "usable": "false",
+            "connected": False,
+            "usable": False,
             "note": "",
         }
         try:
@@ -380,14 +374,14 @@ def _stage_ingest(config: PipelineConfig, meta: dict, log) -> None:
             format=report.format.name.lower(),
             nodes=g.node_count,
             edges=g.edge_count,
-            connected="true" if report.connected else "false",
+            connected=report.connected,
         )
         if g.node_count < 2:
             row["note"] = "fewer than 2 nodes"
         elif not report.connected:
             row["note"] = "disconnected"
         else:
-            row["usable"] = "true"
+            row["usable"] = True
             usable += 1
         rows.append(row)
     if not usable:
@@ -447,7 +441,8 @@ def _stage_bench(config: PipelineConfig, meta: dict, log) -> None:
 def _bench_complete(config: PipelineConfig) -> bool:
     """Every usable instance has a journaled run of every solver."""
     records, _ = read_journal(config.artifact("runs.csv"))
-    want = {(iid, sid) for iid, _ in _usable_instances(config) for sid, _ in config.portfolio}
+    rows, _ = read_manifest(config.artifact("corpus.csv"))
+    want = {(r["instance_id"], sid) for r in rows if r["usable"] for sid, _ in config.portfolio}
     return want <= {(r.instance_id, r.solver_id) for r in records}
 
 
@@ -477,22 +472,17 @@ def _stage_isa_fit(config: PipelineConfig, meta: dict, log) -> None:
 
     sift_meta = dict(
         meta,
-        threshold=repr(config.correlation_threshold),
-        k=str(sift.k),
-        silhouette=repr(sift.silhouette),
+        threshold=config.correlation_threshold,
+        k=sift.k,
+        silhouette=sift.silhouette,
         diagnostic=sift.diagnostic or "none",
-        fallback="true" if fell_back else "false",
+        fallback=fell_back,
     )
     write_table(
         config.artifact("sifted.csv"),
-        ("feature", "max_abs_correlation", "kept_stage1", "selected"),
+        _SIFTED_COLUMNS,
         [
-            (
-                name,
-                repr(sift.correlations[name]),
-                "true" if name in sift.kept_stage1 else "false",
-                "true" if name in selected else "false",
-            )
+            (name, sift.correlations[name], name in sift.kept_stage1, name in selected)
             for name in params.feature_names
         ],
         sift_meta,
@@ -510,10 +500,7 @@ def _stage_isa_project(config: PipelineConfig, meta: dict, log) -> None:
     write_table(
         config.artifact("projections.csv"),
         _PROJECTION_COLUMNS,
-        [
-            (iid, repr(float(Z[i, 0])), repr(float(Z[i, 1])), matrix.best_solver[i])
-            for i, iid in enumerate(common)
-        ],
+        [(iid, *Z[i], matrix.best_solver[i]) for i, iid in enumerate(common)],
         meta,
     )
     log(f"isa-project: {len(common)} instances mapped to the plane")
@@ -526,21 +513,13 @@ def _stage_isa_footprint(config: PipelineConfig, meta: dict, log) -> None:
     rows = []
     for j, solver_id in enumerate(matrix.solver_ids):
         fp = footprint(solver_id, Z, matrix.good[:, j])
-        rows.append(
-            (
-                solver_id,
-                int(matrix.good[:, j].sum()),
-                matrix.best_solver.count(solver_id),
-                repr(fp.area),
-                repr(fp.density),
-                repr(fp.purity),
-            )
-        )
+        good, best = int(matrix.good[:, j].sum()), matrix.best_solver.count(solver_id)
+        rows.append((solver_id, good, best, fp.area, fp.density, fp.purity))
     write_table(
         config.artifact("footprints.csv"),
         _FOOTPRINT_COLUMNS,
         rows,
-        dict(meta, boundary_area=repr(polygon_area(boundary))),
+        dict(meta, boundary_area=polygon_area(boundary)),
     )
     log(f"isa-footprint: {len(rows)} solver footprints")
 
@@ -574,11 +553,11 @@ def _stage_report(config: PipelineConfig, meta: dict, log) -> None:
 
     report_meta = dict(
         meta,
-        instances=str(len(ids)),
-        boundary_area=repr(polygon_area(boundary)),
-        top1_accuracy=repr(evaluation.accuracies[1]),
-        topk_accuracy=repr(evaluation.accuracies[k]),
-        majority_baseline=repr(majority),
+        instances=len(ids),
+        boundary_area=polygon_area(boundary),
+        top1_accuracy=evaluation.accuracies[1],
+        topk_accuracy=evaluation.accuracies[k],
+        majority_baseline=majority,
     )
     write_table(config.artifact("report.csv"), _FOOTPRINT_COLUMNS, rows, report_meta)
     render_scatter(Z, best, boundary, config.artifact("scatter.svg"), meta=meta)
@@ -676,15 +655,30 @@ def _fresh(got: dict, want: dict) -> bool:
     return got.get("tool") == want["tool"] and got.get("inputs") == want["inputs"]
 
 
-def _current(config: PipelineConfig, stage: _Stage, meta: dict) -> bool:
-    for name in stage.outputs:
-        out = config.artifact(name)
-        if not out.exists() or not _fresh(read_artifact_meta(out), meta):
-            return False
+def _fault(config: PipelineConfig, stage: _Stage, meta: dict, before: str) -> str | None:
+    """None when the outputs of ``stage`` are current; else why not, as the
+    message that stops stage ``before`` from running after it."""
+    outs = [config.artifact(name) for name in stage.outputs]
+    missing = [out.name for out in outs if not out.exists()]
+    if missing:
+        return (
+            f"stage '{before}' requires {missing[0]}, produced by stage '{stage.name}'; "
+            "run it first"
+        )
+    if not all(_fresh(read_artifact_meta(out), meta) for out in outs):
+        return (
+            f"mixed config hashes: the outputs of stage '{stage.name}' do not match the "
+            f"current config and inputs; re-run it before '{before}'"
+        )
     try:
-        return stage.complete is None or bool(stage.complete(config))
+        if stage.complete is None or stage.complete(config):
+            return None
     except ModelFormatError:  # such as a model file from before version 2
-        return False
+        pass
+    return (
+        f"stage '{stage.name}' did not finish: its outputs are incomplete or do not "
+        f"read back; re-run it before '{before}'"
+    )
 
 
 def _upstream(config: PipelineConfig, name: str) -> list[str]:
@@ -729,18 +723,12 @@ def run_pipeline(
     for name in requested:
         # a stage this call ran or skipped is current and needs no second check
         for up in (_STAGES[s] for s in _upstream(config, name) if s not in statuses):
-            if not _current(config, up, _stage_meta(config, up)):
-                missing = [o for o in up.outputs if not config.artifact(o).exists()]
-                raise PipelineError(
-                    f"stage '{name}' requires {missing[0]}, produced by stage "
-                    f"'{up.name}'; run it first"
-                    if missing
-                    else f"mixed config hashes: the outputs of stage '{up.name}' do not "
-                    f"match the current config and inputs; re-run it before '{name}'"
-                )
+            fault = _fault(config, up, _stage_meta(config, up), name)
+            if fault:
+                raise PipelineError(fault)
         stage = _STAGES[name]
         meta = _stage_meta(config, stage)
-        if _current(config, stage, meta):
+        if not _fault(config, stage, meta, name):
             emit(f"{name}: up to date, skipped")
             statuses[name] = "skipped"
             continue

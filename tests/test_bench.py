@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquespace import bench
+from cliquespace.artifacts import cell
 from cliquespace.bench import (
     DEFAULT_GOOD_TOLERANCE,
     PerformanceMatrix,
@@ -283,6 +284,8 @@ class TestJournal:
             rec("i1", "B", 10, 2.0),
             rec("i2", "A", 4, 2.125),
             rec("i2", "B", 8, 2.0, status="failed"),
+            # written through cell as repr(float(v)), not as 'np.float64(...)'
+            rec("i3", "A", 3, np.float64(1 / 3)),
         ]
         path = tmp_path / "runs.csv"
         write_journal(path, records, meta={"config": "deadbeef"})
@@ -290,6 +293,10 @@ class TestJournal:
         assert loaded == records
         assert meta == {"config": "deadbeef"}
         assert PerformanceMatrix.from_records(loaded) == PerformanceMatrix.from_records(records)
+        again = tmp_path / "again.csv"
+        write_journal(again, loaded, meta)
+        assert again.read_bytes() == path.read_bytes()
+        assert float(cell(np.float64(1 / 3))) == 1 / 3 and cell(np.float64(0.5)) == "0.5"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "runs.csv"

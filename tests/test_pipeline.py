@@ -385,6 +385,25 @@ def test_hash_stem_instance_survives_every_reader(tmp_path):
     assert run_pipeline(config, stages) == [(s, "skipped") for s in stages]
 
 
+def test_moved_campaign_reads_its_corpus_where_it_now_is(tmp_path):
+    # corpus.csv records where ingest found each file; the stages find it
+    # through the corpus globs, which resolve against the moved config
+    first = tmp_path / "first"
+    count = write_corpus(first / "corpus")
+    run_pipeline(load_config(write_config(first)), ["ingest"])
+    moved = tmp_path / "moved"
+    first.rename(moved)
+    config = load_config(moved / "campaign.ini")
+    stages = ["ingest", "features", "bench"]
+    assert run_pipeline(config, stages) == [
+        ("ingest", "skipped"), ("features", "ran"), ("bench", "ran"),
+    ]
+    ids, _, _ = read_features_csv(config.artifact("features.csv"))
+    assert len(ids) == count
+    records, _ = read_journal(config.artifact("runs.csv"))
+    assert len(records) == 2 * count and all(r.status == "ok" for r in records)
+
+
 def test_ingest_logs_parse_warnings(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -460,10 +479,10 @@ def _rows_then_kill(rows, count):
 
 def test_interrupted_write_table_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "table.csv"
-    write_table(path, ("a",), [["1"], ["2"]], {"inputs": "old"})
+    write_table(path, (("a", str),), [["1"], ["2"]], {"inputs": "old"})
     before = path.read_bytes()
     with pytest.raises(_Killed):
-        write_table(path, ("a",), _rows_then_kill([["3"], ["4"]], 1), {"inputs": "new"})
+        write_table(path, (("a", str),), _rows_then_kill([["3"], ["4"]], 1), {"inputs": "new"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
@@ -585,6 +604,36 @@ def test_stale_upstream_stage_is_named(completed_pipeline, tmp_path, capsys):
     assert main(["run", "--config", str(ini), "--stages", "train"]) == 3
     err = capsys.readouterr().err
     assert "mixed config hashes" in err and "'isa-fit'" in err
+
+
+def _drop_last_three_lines(lines):
+    del lines[-3:]
+
+
+def _model_body_not_json(lines):
+    lines[-1] = "not json"
+
+
+@pytest.mark.parametrize(
+    "artifact, damage, upstream, stage",
+    [
+        ("runs.csv", _drop_last_three_lines, "bench", "isa-fit"),
+        ("projection.isa", _model_body_not_json, "isa-fit", "isa-project"),
+    ],
+)
+def test_unfinished_upstream_stage_is_named(
+    completed_pipeline, tmp_path, capsys, artifact, damage, upstream, stage
+):
+    # the damaged file keeps its header, whose hashes are current
+    ini = _copy_campaign(completed_pipeline, tmp_path)
+    target = ini.parent / "out" / artifact
+    lines = target.read_text().splitlines()
+    damage(lines)
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(ini), "--stages", stage]) == 3
+    err = capsys.readouterr().err
+    assert f"stage '{upstream}' did not finish" in err
+    assert "mixed config hashes" not in err
 
 
 # a value for every semantic config field, each unlike the shared campaign's
@@ -862,12 +911,27 @@ def _cut_first_row(lines):
     lines[first] = ",".join(lines[first].split(",")[:2])
 
 
+def _set_first_cell(column, value):
+    """Corrupt the first row's ``column`` cell to ``value``."""
+
+    def corrupt(lines):
+        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        fields = lines[header + 1].split(",")
+        fields[lines[header].split(",").index(column)] = value
+        lines[header + 1] = ",".join(fields)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "artifact, corrupt, stage, line",
     [
         ("corpus.csv", _drop_usable_column, "features", 4),
         ("projections.csv", _cut_first_row, "isa-footprint", 5),
         ("features.csv", _cut_first_row, "isa-fit", 5),
+        # a cell of another format is refused, not read as false or copied on
+        ("corpus.csv", _set_first_cell("usable", "yes"), "features", 5),
+        ("footprints.csv", _set_first_cell("area", "x"), "report", 6),
     ],
 )
 def test_cli_malformed_artifact_names_its_line(

@@ -6,9 +6,12 @@ Only that leading block is metadata: a later line starting with ``#``,
 such as the row of an instance whose file stem starts with ``#``, is data.
 The body is CSV for tables and one JSON object for model files.  Every
 artifact is written whole or not at all (``open_whole``), so a header
-that marks a file as current never heads a partial body.  ``cell`` writes
-every CSV cell and metadata value; a table's columns are declared once,
-each name with its type, by which ``read_table`` parses each cell.
+that marks a file as current never heads a partial body.  The one
+artifact that is also appended to is the run journal ``runs.csv``: one
+flushed and fsynced row per finished run, through ``append_rows``.
+``cell`` writes every CSV cell and metadata value; a table's columns are
+declared once, each name with its type, by which ``read_table`` parses
+each cell.
 """
 
 from __future__ import annotations
@@ -66,9 +69,18 @@ def open_whole(path: str | Path):
         part.unlink(missing_ok=True)
 
 
-def write_rows(fh, rows) -> None:
+def _write_rows(fh, rows) -> None:
     """Each row of values as one CSV line of ``cell`` texts."""
     csv.writer(fh).writerows([cell(v) for v in row] for row in rows)
+
+
+def append_rows(path: str | Path, rows) -> None:
+    """Append ``rows`` to the table at ``path`` and flush them to disk
+    before returning; a kill can tear at most the final line."""
+    with Path(path).open("a", newline="") as fh:
+        _write_rows(fh, rows)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def write_table(path: str | Path, columns, rows, meta: dict | None) -> None:
@@ -77,7 +89,7 @@ def write_table(path: str | Path, columns, rows, meta: dict | None) -> None:
     with open_whole(path) as fh:
         _write_meta(fh, meta)
         csv.writer(fh).writerow(dict(columns))
-        write_rows(fh, rows)
+        _write_rows(fh, rows)
 
 
 def write_model(path: str | Path, kind: str, body: dict, meta: dict | None) -> None:

@@ -9,6 +9,9 @@ that is simultaneously slowest and best scores exactly 1.  Wall times
 are clamped below at 1 ms before scoring because near-zero measurements
 are clock noise, and crashed runs receive y = +inf while staying out of
 the max-normalization denominators.
+
+``run_campaign`` turns every finished run, or its failure, into one
+:class:`RunRecord` and appends it to ``runs.csv`` by ``artifacts.append_rows``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .artifacts import read_table, write_rows, write_table
+from .artifacts import append_rows, read_table, write_table
 from .errors import ScoringError
 from .graph import Budget, Graph, parse_path
 
@@ -190,27 +193,11 @@ def read_journal(path: str | Path) -> tuple[list[RunRecord], dict[str, str]]:
     else raises :class:`ScoringError` naming its line.
     """
     data = Path(path).read_bytes()
-    text = data[: _complete_length(data)].decode()
+    text = data[: max(data.rfind(b"\n"), data.rfind(b"\r")) + 1].decode()
     meta, records = read_table(
         path, JOURNAL_COLUMNS, ScoringError, lambda values: RunRecord(*values), text
     )
     return records, meta
-
-
-def _complete_length(data: bytes) -> int:
-    """Length up to the last line end; any bytes after it are a torn append."""
-    return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-
-
-def _drop_torn_tail(path: Path) -> bool:
-    """Cut a torn final row off the journal, so appends start on a fresh line."""
-    data = path.read_bytes()
-    keep = _complete_length(data)
-    if keep == len(data):
-        return False
-    with path.open("r+b") as fh:
-        fh.truncate(keep)
-    return True
 
 
 def _load_instance(source) -> Graph:
@@ -245,10 +232,11 @@ def run_campaign(
     (solver_id, callable(graph, budget) -> SolveResult) pairs.  Pairs
     already present in the journal are not re-executed, an instance with
     none left to run is not loaded, and each new record is flushed and
-    fsynced as it is appended.  A solver exception, or a result no run
-    can produce (one :class:`RunRecord` refuses, or a clique larger than
-    the graph), becomes a failed record with the measured wall time, not a
-    crash of the campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``;
+    fsynced as it is appended; a journal whose final row a kill tore is
+    first written again whole without it.  A solver exception, or a result
+    no run can produce (one :class:`RunRecord` refuses, or a clique larger
+    than the graph), becomes a failed record with the measured wall time,
+    not a crash of the campaign.  The matrix is at ``DEFAULT_GOOD_TOLERANCE``;
     ``replace(matrix, tolerance=t)`` relabels it.
     """
     if not corpus:
@@ -265,9 +253,11 @@ def run_campaign(
     done: dict[tuple[str, str], RunRecord] = {}
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and journal_path.exists():
-        if _drop_torn_tail(journal_path):
+        kept, kept_meta = read_journal(journal_path)
+        if not journal_path.read_bytes().endswith((b"\n", b"\r")):
+            write_journal(journal_path, kept, kept_meta)  # appends start on a fresh line
             emit(f"{journal_path.name}: dropped a torn final row; its run repeats")
-        for r in read_journal(journal_path)[0]:
+        for r in kept:
             done.setdefault((r.instance_id, r.solver_id), r)
     elif journal_path is not None:
         write_journal(journal_path, [], meta)
@@ -319,10 +309,7 @@ def run_campaign(
             )
         if journal_path is not None:
             with journal_lock:
-                with journal_path.open("a", newline="") as fh:
-                    write_rows(fh, [astuple(record)])
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                append_rows(journal_path, [astuple(record)])
         return record
 
     records = list(done.values()) + map_jobs(execute, pending, parallelism)

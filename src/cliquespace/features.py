@@ -25,7 +25,16 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .errors import DisconnectedGraphError, FeatureTimeoutError
-from .graph import Budget, Graph, greedy_clique, iter_bits, iter_edges, peel_below, validate_connected
+from .graph import (
+    Budget,
+    Graph,
+    greedy_clique,
+    greedy_coloring_count,
+    iter_bits,
+    iter_edges,
+    peel_below,
+    validate_connected,
+)
 
 __all__ = [
     "FEATURE_NAMES",
@@ -105,13 +114,16 @@ def _check(budget: Budget) -> None:
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(g.node_count + 1, dtype=np.int64)
+    """Row offsets and neighbor ids, each row ascending, unpacked from the
+    adjacency bitmasks' bytes; the n-by-n bit matrix lives only in here."""
+    n = g.node_count
+    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(g.degrees, out=indptr[1:])
-    indices = np.fromiter(
-        (v for mask in g.adj_bits for v in iter_bits(mask)),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in g.adj_bits), np.uint8)
+    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+    indices = np.flatnonzero(bits).astype(np.int64, copy=False)
+    indices %= n  # the flat offset v*n + u is the neighbor u of v
     return indptr, indices
 
 
@@ -287,24 +299,6 @@ def _k_core_number(g: Graph) -> int:
     return core
 
 
-def _greedy_coloring_count(g: Graph) -> int:
-    """Colors used by largest-degree-first sequential coloring.
-
-    Each color is a bitmask of its vertices; a vertex joins the first
-    class holding none of its neighbors, which is its smallest free color.
-    """
-    classes: list[int] = []
-    for v in sorted(range(g.node_count), key=lambda v: (-g.degrees[v], v)):
-        nbrs = g.adj_bits[v]
-        for c, members in enumerate(classes):
-            if not members & nbrs:
-                classes[c] = members | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
-
-
 def _median_std(name: str, values: np.ndarray) -> dict[str, float]:
     return {f"median_{name}": float(np.median(values)), f"std_{name}": float(np.std(values))}
 
@@ -365,7 +359,7 @@ def _clique_group(g: Graph, csr, budget: Budget) -> dict[str, float]:
     return {
         "k_core_number": float(_k_core_number(g)),
         "chromatic_minus_greedy_clique_gap": float(
-            _greedy_coloring_count(g) - len(greedy_clique(g))
+            greedy_coloring_count(g.adj_bits, (1 << g.node_count) - 1) - len(greedy_clique(g))
         ),
     }
 

@@ -40,6 +40,7 @@ __all__ = [
     "most_connected",
     "greedy_clique",
     "peel_below",
+    "greedy_coloring_count",
     "Budget",
 ]
 
@@ -197,6 +198,26 @@ def peel_below(adj, alive: int, degree: list[int], k: int) -> int:
             if degree[w] == k - 1:
                 stack.append(w)
     return alive
+
+
+def greedy_coloring_count(adj, alive: int) -> int:
+    """Colors used by largest-degree-first sequential coloring of the live
+    graph ``alive`` (degrees counted among live vertices, ties to the lowest
+    id), an upper bound on its clique number.
+
+    Each color is a bitmask of its vertices; a vertex joins the first
+    class holding none of its neighbors, which is its smallest free color.
+    """
+    classes: list[int] = []
+    for v in sorted(iter_bits(alive), key=lambda v: (-(adj[v] & alive).bit_count(), v)):
+        nbrs = adj[v]
+        for c, members in enumerate(classes):
+            if not members & nbrs:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 class Budget:

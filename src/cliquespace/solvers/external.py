@@ -21,10 +21,10 @@ sum of the ``ts``/``tr``/``tp`` values, otherwise the measured wall
 time.  The process runs in its own process group, which is killed at the
 budget and again once the process exits, so nothing it started outlives
 it.  A budget kill is not an error: whatever incumbent was printed
-before the kill is returned with ``budget_exhausted`` set.  When the
-process reports vertices they are validated as a real clique of the
-input graph; size-only output cannot be cross-checked and is taken as
-reported.
+before the kill is returned with ``budget_exhausted`` set, with size 0
+when none was.  When the process reports vertices they are validated as
+a real clique of the input graph; size-only output cannot be
+cross-checked and is taken as reported.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def run_external(
     budget: float,
     solver_id: str = "external",
 ):
-    """Run one external solver process on ``g`` under a wall-clock budget."""
+    """Run one external solver process on ``g`` under a wall-clock budget;
+    any outcome but an error is one SolveResult, timed by the module's rule."""
     check_template(cmd_template)
     with tempfile.TemporaryDirectory(prefix="cliquespace-ext-") as tmp:
         instance_path = Path(tmp) / f"{g.name or 'instance'}.clq"
@@ -129,20 +130,11 @@ def run_external(
             raise SolverOutputError(
                 f"{solver_id} reported size {size} but listed {len(verts)} vertices"
             )
-    if size is None:
-        if killed:
-            return SolveResult(
-                clique=(),
-                clique_size=0,
-                proven_optimal=False,
-                wall_seconds=measured,
-                solver_id=solver_id,
-                budget_exhausted=True,
-            )
+    if size is None and not killed:
         raise SolverOutputError(f"{solver_id} printed no clique size: {stdout[-500:]!r}")
     return SolveResult(
         clique=tuple(verts) if verts is not None else (),
-        clique_size=size,
+        clique_size=size or 0,
         proven_optimal=False,
         wall_seconds=measured if reported is None else reported,
         solver_id=solver_id,

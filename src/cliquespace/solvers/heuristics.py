@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import random
 
-from ..graph import Budget, Graph, greedy_clique, iter_bits, most_connected, peel_below
+from ..graph import (
+    Budget,
+    Graph,
+    greedy_clique,
+    greedy_coloring_count,
+    iter_bits,
+    most_connected,
+    peel_below,
+)
 from . import finish
 
 # a local-search round after the first grows by the best of this many sampled candidates
@@ -37,9 +45,11 @@ def solve_local_search(
     neither can a live edge (u, v) whose endpoints share fewer than
     best size - 1 live neighbors (the k-truss bound of FastWClq, Cai &
     Lin 2016).  Vertex and edge peels alternate until neither removes
-    anything.  If the whole graph peels away the incumbent is provably
-    maximum.  Every edge of a larger clique survives the peel, so later
-    rounds construct on the peeled graph.  Construction round 0 is the
+    anything.  If the whole graph peels away, or, while the budget lasts,
+    a largest-first greedy coloring of the live graph uses no more colors
+    than the incumbent has vertices, the incumbent is provably maximum.
+    Every edge of a larger clique survives the peel, so later rounds
+    construct on the peeled graph.  Construction round 0 is the
     deterministic max-connectivity greedy; later rounds start at a
     random live vertex and grow by best-of-``_SAMPLES`` candidate
     sampling.  Anytime within ``budget`` wall seconds: the edge peel
@@ -103,8 +113,12 @@ def solve_local_search(
             if on_incumbent:
                 on_incumbent(sorted(best), budget.elapsed())
             reduce_below(len(best))
+            # every larger clique lives in the live graph; colored with no more
+            # colors than best has vertices, it holds none
+            if not budget.expired() and greedy_coloring_count(adj, alive) <= len(best):
+                alive = 0
         if not alive:
-            proven = True  # graph peeled away: nothing larger exists
+            proven = True  # graph peeled or colored away: nothing larger exists
             break
         if budget.expired():
             break

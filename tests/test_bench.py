@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquespace import bench
+from cliquespace import artifacts, bench
 from cliquespace.artifacts import cell
 from cliquespace.bench import (
     DEFAULT_GOOD_TOLERANCE,
@@ -401,7 +401,7 @@ class TestRunCampaign:
 
     def test_every_new_record_is_fsynced(self, tmp_path, monkeypatch):
         synced: list[int] = []
-        monkeypatch.setattr(bench.os, "fsync", synced.append)
+        monkeypatch.setattr(artifacts.os, "fsync", synced.append)
         journal = tmp_path / "runs.csv"
         calls: list[int] = []
         portfolio = [("a", stub_solver(5, 0.5, counter=calls)), ("b", stub_solver(4, 0.5))]
@@ -418,7 +418,8 @@ class TestRunCampaign:
         portfolio = [("s", stub_solver(5, 0.5, counter=calls))]
         run_campaign(self.corpus(3), portfolio, budget=5.0, journal=journal)
         data = journal.read_bytes()
-        journal.write_bytes(data[: data.rstrip().rfind(b"\n") + 1] + b"g2,s,5,0.")
+        kept = data[: data.rstrip().rfind(b"\n") + 1]
+        journal.write_bytes(kept + b"g2,s,5,0.")
         lines: list[str] = []
         matrix, records = run_campaign(
             self.corpus(3), portfolio, budget=5.0, journal=journal, log=lines.append
@@ -429,6 +430,8 @@ class TestRunCampaign:
         assert matrix.instance_ids == ("g0", "g1", "g2")
         reread, _ = read_journal(journal)
         assert sorted(r.instance_id for r in reread) == ["g0", "g1", "g2"]
+        # the kept rows are written back byte for byte, then the re-run pair
+        assert journal.read_bytes() == kept + b"g2,s,5,0.5,false,ok\r\n"
 
     def test_crash_recorded_as_failed_run(self):
         matrix, records = run_campaign(

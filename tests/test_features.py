@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -21,7 +22,7 @@ from cliquespace.features import (
     spectral_features,
     write_features_csv,
 )
-from cliquespace.graph import Budget, Graph, generate
+from cliquespace.graph import Budget, Graph, generate, iter_bits
 
 from oracles import connected_gnp, from_networkx, to_networkx
 from test_acceptance import _bipartite_trap
@@ -190,6 +191,17 @@ CAGE_GRAPHS = {
     "moebius_kantor": (nx.moebius_kantor_graph, 6),
     "tutte_coxeter": (lambda: nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5), 8),
 }
+
+
+class TestCsr:
+    @given(n=st.integers(1, 70), p=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_walk_over_every_set_bit(self, n, p, seed):
+        g = generate("gnp", n, p=p, seed=seed)
+        indptr, indices = _csr(g)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.tolist() == [0, *itertools.accumulate(g.degrees)]
+        assert indices.tolist() == [v for mask in g.adj_bits for v in iter_bits(mask)]
 
 
 class TestShortestPathSweep:

@@ -17,6 +17,7 @@ from cliquespace.graph import (
     GraphFormat,
     detect_format,
     generate,
+    greedy_coloring_count,
     iter_bits,
     parse_graph,
     parse_path,
@@ -496,6 +497,26 @@ class TestPeelBelow:
     def test_matches_networkx_k_core_on_gnp(self, n, p, seed):
         # low p gives disconnected draws and isolated nodes
         _assert_peels_to_networkx_k_cores(from_networkx(nx.gnp_random_graph(n, p, seed=seed)))
+
+
+class TestGreedyColoringCount:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+        live=st.integers(min_value=1),
+    )
+    def test_matches_networkx_largest_first_on_the_live_graph(self, n, p, seed, live):
+        g = generate("gnp", n, p, seed=seed)
+        alive = live & ((1 << n) - 1) or 1
+        H = nx.Graph()
+        H.add_nodes_from(iter_bits(alive))  # ascending ids
+        H.add_edges_from((u, v) for u, v in g.edges if alive >> u & alive >> v & 1)
+        coloring = nx.greedy_color(
+            H, strategy=lambda G, c: sorted(G, key=lambda v: (-G.degree(v), v))
+        )
+        assert greedy_coloring_count(g.adj_bits, alive) == max(coloring.values()) + 1
 
 
 class TestSerialization:

@@ -180,6 +180,29 @@ class TestLocalSearch:
         if res.proven_optimal:
             assert res.clique_size == omega
 
+    def test_color_bound_ends_the_run(self):
+        # nothing peels (degree 8, six common neighbors per edge), but the
+        # matched pairs color the graph with 5 colors, the clique's size
+        res = solve_local_search(k10_minus_matching(), budget=5.0, seed=0)
+        assert res.clique_size == 5
+        assert res.proven_optimal
+        assert not res.budget_exhausted
+        assert res.wall_seconds < 1.0
+
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_proven_clique_is_maximum(self, n, p, seed):
+        # the graphs the paper trains on are this small; a run ends proven by
+        # an emptied peel or by the color bound, and either must be omega
+        g = generate("gnp", n, p=p, seed=seed)
+        res = solve_local_search(g, budget=0.05, seed=seed)
+        if res.proven_optimal:
+            assert res.clique_size == clique_number_exact(g)
+
     def test_edge_peel_stops_at_the_deadline(self):
         # the incumbent callback sleeps past the deadline, so the edge pass
         # stops at its first vertex and the cycle stays unproven
@@ -376,6 +399,13 @@ class TestExternalAdapter:
         )
         assert res.budget_exhausted
         assert res.clique_size == 0
+
+    def test_budget_kill_without_a_size_keeps_the_reported_time(self, k3):
+        code = "import time; print('time 0.25', flush=True); time.sleep(30)"
+        res = run_external(py_stub(code), k3, budget=0.4)
+        assert res.budget_exhausted
+        assert res.clique_size == 0
+        assert res.wall_seconds == 0.25
 
     def test_budget_kill_keeps_last_incumbent(self, k3):
         code = "import time; print('clique 2', flush=True); print('clique 3', flush=True); time.sleep(30)"

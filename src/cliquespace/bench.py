@@ -12,6 +12,8 @@ the max-normalization denominators.
 
 ``run_campaign`` turns every finished run, or its failure, into one
 :class:`RunRecord` and appends it to ``runs.csv`` by ``artifacts.append_rows``.
+A record's ``solver_id`` is its portfolio id.  The campaign parses its
+instances without judging them: ``ingest`` decided which are usable.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError(f"{flag}: {exc}") from None
     result = solve(parse_path(args.instance).graph, args.budget)
     print(
-        f"instance={Path(args.instance).stem} solver={result.solver_id} "
+        f"instance={Path(args.instance).stem} solver={args.solver} "
         f"clique={result.clique_size} proven={cell(bool(result.proven_optimal))} "
         f"wall={result.wall_seconds:.3f} budget_exhausted={cell(bool(result.budget_exhausted))}"
     )

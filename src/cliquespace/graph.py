@@ -18,7 +18,7 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -90,9 +90,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj_bits[v]))
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj_bits[u] >> v) & 1)
@@ -242,17 +239,15 @@ class Budget:
 
 @dataclass(frozen=True)
 class IngestReport:
-    """Outcome of parsing one graph file.
-
-    ``connected`` is the result of a full traversal from node 0;
-    disconnected graphs parse fine but distance-based features refuse
-    them later, mirroring the benchmark-exclusion policy.
+    """What parsing one graph file read: the graph and the parse warnings
+    (dropped lines, header counts the file disagrees with).  Whether it is
+    a usable instance is not the parser's decision: the ``ingest`` stage
+    judges that (connected, at least 2 nodes) and records it in
+    ``corpus.csv``.
     """
 
     graph: Graph
-    format: GraphFormat
-    warnings: tuple[str, ...] = field(default=())
-    connected: bool = True
+    warnings: tuple[str, ...] = ()
 
 
 def validate_connected(g: Graph) -> bool:
@@ -457,12 +452,7 @@ def _parse_blocks(blocks, fmt: GraphFormat, name: str) -> IngestReport:
         raise GraphFormatError("edge list contains no edges; empty graph")
     graph = Graph.__new__(Graph)
     graph._fill(bits, name)
-    return IngestReport(
-        graph=graph,
-        format=fmt,
-        warnings=tuple(warnings),
-        connected=validate_connected(graph),
-    )
+    return IngestReport(graph=graph, warnings=tuple(warnings))
 
 
 def detect_format(path: str | Path) -> GraphFormat:

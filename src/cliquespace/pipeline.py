@@ -35,7 +35,7 @@ from .errors import (
     ModelFormatError,
     PipelineError,
 )
-from .graph import Budget, parse_path
+from .graph import Budget, detect_format, parse_path, validate_connected
 from .solvers import BUILTIN_SOLVER_IDS, make_builtin
 from .solvers.external import check_template, run_external
 
@@ -316,8 +316,9 @@ def _features_with_runs(
 ) -> tuple[list[str], np.ndarray, PerformanceMatrix]:
     """The instances with features and a best solver, sorted, with their
     feature rows and their performance rows in that order.  An instance
-    where every run failed has no best solver, so it is left out; a
-    journal where every run failed raises CampaignFailureError."""
+    where every run failed has no best solver, and one with runs but no
+    features (a feature timeout, say) has no row, so each is left out with
+    a log line; a journal where every run failed raises CampaignFailureError."""
     ids, X, _ = read_features_csv(config.artifact("features.csv"))
     matrix = _performance(config)
     scored = {
@@ -329,6 +330,9 @@ def _features_with_runs(
     common = sorted(both & scored)
     if len(common) < len(both):
         log(f"{stage}: left out {len(both) - len(common)} instance(s) where every run failed")
+    featureless = len(matrix.instance_ids) - len(both)
+    if featureless:
+        log(f"{stage}: left out {featureless} instance(s) without features")
     return common, X[_positions(ids, common, "features.csv")], _aligned(matrix, common)
 
 
@@ -370,15 +374,16 @@ def _stage_ingest(config: PipelineConfig, meta: dict, log) -> None:
         for warning in report.warnings:
             log(f"ingest: {p.name}: {warning}")
         g = report.graph
+        connected = validate_connected(g)
         row.update(
-            format=report.format.name.lower(),
+            format=detect_format(p).name.lower(),
             nodes=g.node_count,
             edges=g.edge_count,
-            connected=report.connected,
+            connected=connected,
         )
         if g.node_count < 2:
             row["note"] = "fewer than 2 nodes"
-        elif not report.connected:
+        elif not connected:
             row["note"] = "disconnected"
         else:
             row["usable"] = True

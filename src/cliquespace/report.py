@@ -8,6 +8,7 @@ as XML comments.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,8 @@ def render_scatter(
             f'<rect x="{lx}" y="{row_y - 9}" width="11" height="11" '
             f'fill="{colors[sid]}"/>'
         )
-        out.append(f'<text x="{lx + 16}" y="{row_y}" font-size="12">{sid}</text>')
+        # a [portfolio] id is any INI key, so it may hold markup characters
+        out.append(f'<text x="{lx + 16}" y="{row_y}" font-size="12">{escape(sid)}</text>')
     out.append("</svg>")
     with open_whole(path) as fh:
         fh.write("\n".join(out) + "\n")

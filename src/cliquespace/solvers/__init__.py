@@ -28,14 +28,14 @@ class SolveResult:
     ``clique`` is empty when a solver reports only a size (external
     binaries often do); otherwise it holds the vertices and its length
     equals ``clique_size``.  ``proven_optimal`` is only set by runs that
-    exhausted their search or reduced the graph away completely.
+    exhausted their search or reduced the graph away completely.  It names
+    no solver: the id its caller resolved is the solver's one name.
     """
 
     clique: tuple[int, ...]
     clique_size: int
     proven_optimal: bool
     wall_seconds: float
-    solver_id: str
     budget_exhausted: bool = False
 
 
@@ -52,9 +52,10 @@ def verify_clique(g: Graph, nodes) -> None:
             raise CliqueValidityError(f"claimed clique contains the non-edge ({u}, {v})")
 
 
-def finish(g: Graph, clique, budget: Budget, solver_id: str, proven: bool, exhausted: bool = False):
+def finish(g: Graph, clique, budget: Budget, proven: bool, exhausted: bool = False):
     """The result envelope of one builtin run: ``clique`` is sorted and
-    verified, and the wall time is ``budget.elapsed()`` after that check."""
+    verified, and the wall time is ``budget.elapsed()`` after that check.
+    A builtin's one name is its ``_BUILTINS`` key."""
     clique = tuple(sorted(clique))
     verify_clique(g, clique)
     return SolveResult(
@@ -62,7 +63,6 @@ def finish(g: Graph, clique, budget: Budget, solver_id: str, proven: bool, exhau
         clique_size=len(clique),
         proven_optimal=proven,
         wall_seconds=budget.elapsed(),
-        solver_id=solver_id,
         budget_exhausted=exhausted,
     )
 

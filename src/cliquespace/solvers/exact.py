@@ -78,4 +78,4 @@ def solve_exact_bb(g: Graph, budget: float | None = None, on_incumbent=None):
     except _BudgetExhausted:
         proven = False
 
-    return finish(g, best, budget, "exact", proven, exhausted=not proven)
+    return finish(g, best, budget, proven, exhausted=not proven)

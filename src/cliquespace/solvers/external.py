@@ -83,7 +83,8 @@ def run_external(
     solver_id: str = "external",
 ):
     """Run one external solver process on ``g`` under a wall-clock budget;
-    any outcome but an error is one SolveResult, timed by the module's rule."""
+    any outcome but an error is one SolveResult, timed by the module's rule.
+    ``solver_id`` only names the solver in error messages."""
     check_template(cmd_template)
     with tempfile.TemporaryDirectory(prefix="cliquespace-ext-") as tmp:
         instance_path = Path(tmp) / f"{g.name or 'instance'}.clq"
@@ -137,6 +138,5 @@ def run_external(
         clique_size=size or 0,
         proven_optimal=False,
         wall_seconds=measured if reported is None else reported,
-        solver_id=solver_id,
         budget_exhausted=killed,
     )

@@ -28,7 +28,7 @@ def solve_greedy(g: Graph):
     """
     budget = Budget(None, unlimited=True)
     best = greedy_clique(g)
-    return finish(g, best, budget, "greedy", proven=len(best) == g.node_count)
+    return finish(g, best, budget, proven=len(best) == g.node_count)
 
 
 def solve_local_search(
@@ -123,4 +123,4 @@ def solve_local_search(
         if budget.expired():
             break
 
-    return finish(g, best, budget, "fastwclq-like", proven, exhausted=not proven)
+    return finish(g, best, budget, proven, exhausted=not proven)

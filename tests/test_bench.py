@@ -346,7 +346,6 @@ def stub_solver(size, seconds, fail=False, counter=None):
             clique_size=size,
             proven_optimal=False,
             wall_seconds=seconds,
-            solver_id="stub",
         )
     return run
 

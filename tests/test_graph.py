@@ -41,7 +41,7 @@ class TestDimacsParsing:
         assert g.node_count == 3
         assert g.edge_count == 3
         assert g.edges == frozenset({(0, 1), (1, 2), (0, 2)})
-        assert report.connected
+        assert validate_connected(report.graph)
         assert report.warnings == ()
 
     def test_one_based_conversion(self):
@@ -81,13 +81,24 @@ class TestDimacsParsing:
             parse_graph("p edge 0 0\n", GraphFormat.DIMACS_CLQ)
 
 
+def test_parsing_judges_no_connectivity(tmp_path, monkeypatch):
+    # whether an instance is usable is the ingest stage's decision alone
+    calls = []
+    monkeypatch.setattr(graph_module, "validate_connected", lambda g: calls.append(g))
+    path = tmp_path / "split.clq"
+    path.write_text("p edge 4 2\ne 1 2\ne 3 4\n")
+    parse_path(path)
+    parse_graph("0 1\n2 3\n", GraphFormat.EDGE_LIST)
+    assert calls == []
+
+
 class TestEdgeListParsing:
     def test_path(self):
         report = parse_graph("0 1\n1 2\n2 3\n", GraphFormat.EDGE_LIST)
         g = report.graph
         assert g.node_count == 4
         assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
-        assert report.connected
+        assert validate_connected(report.graph)
 
     def test_comments_and_blanks(self):
         report = parse_graph("# header\n\n0 1  # inline\n", GraphFormat.EDGE_LIST)
@@ -104,7 +115,7 @@ class TestEdgeListParsing:
     def test_gap_in_ids_yields_isolated_nodes(self):
         report = parse_graph("0 3\n", GraphFormat.EDGE_LIST)
         assert report.graph.node_count == 4
-        assert not report.connected
+        assert not validate_connected(report.graph)
 
 
 class TestMatrixMarketParsing:
@@ -203,7 +214,12 @@ def _outcome(parse, *args):
         report = parse(*args)
     except GraphFormatError as exc:
         return str(exc)
-    return report.graph.adj_bits, report.graph.name, report.warnings, report.connected
+    return (
+        report.graph.adj_bits,
+        report.graph.name,
+        report.warnings,
+        validate_connected(report.graph),
+    )
 
 
 def _draw_text(data, lines: list[str], last_ends=LINE_ENDS) -> str:

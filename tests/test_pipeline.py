@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from cliquespace.cli import main
 from cliquespace.errors import CampaignFailureError, ConfigError, PipelineError
 from cliquespace.features import FEATURE_NAMES, read_features_csv
 from cliquespace.graph import GraphFormat, generate, serialize
+from cliquespace.report import render_scatter
 from cliquespace.selector import PriorClassifier, read_selector_model, svm
+from cliquespace.solvers import BUILTIN_SOLVER_IDS
 from cliquespace.pipeline import (
     STAGE_ORDER,
     PipelineConfig,
@@ -286,6 +289,14 @@ def test_report_summarizes_selector_and_footprints(completed_pipeline):
     svg = config.artifact("scatter.svg").read_text()
     assert "<svg" in svg and "<circle" in svg and "<polygon" in svg
     assert "best solver" in svg  # legend title
+
+
+def test_scatter_legend_escapes_solver_ids(tmp_path):
+    # a [portfolio] id is any INI key, markup characters included
+    path = tmp_path / "scatter.svg"
+    render_scatter(np.array([[0.0, 0.0], [1.0, 1.0]]), ["a&b<c", "exact"], None, path)
+    texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c" in texts and "exact" in texts
 
 
 def _body(path: Path) -> list[str]:
@@ -800,6 +811,14 @@ def test_cli_solve_exact(tmp_path, capsys):
     assert "vertices=0 1 2 3 4" in out
 
 
+@pytest.mark.parametrize("solver_id", BUILTIN_SOLVER_IDS)
+def test_cli_solve_prints_the_builtin_id_it_resolved(tmp_path, capsys, solver_id):
+    instance = tmp_path / "k5.clq"
+    instance.write_text(serialize(generate("complete", 5), GraphFormat.DIMACS_CLQ))
+    assert main(["solve", "--solver", solver_id, "--instance", str(instance)]) == 0
+    assert f"solver={solver_id} clique=5 " in capsys.readouterr().out
+
+
 def test_cli_solve_local_search(tmp_path, capsys):
     instance = tmp_path / "c6.clq"
     instance.write_text(serialize(generate("cycle", 6), GraphFormat.DIMACS_CLQ))
@@ -974,6 +993,23 @@ def test_instance_where_every_run_failed_is_left_out(completed_pipeline, tmp_pat
         config.artifact("footprints.csv"), pipeline._FOOTPRINT_COLUMNS, PipelineError, list
     )
     assert sum(int(row[2]) for row in rows) == len(ids)
+
+
+def test_instance_without_features_is_left_out(completed_pipeline, tmp_path):
+    # a feature timeout, say, leaves an instance with runs but no features row
+    source, _, _, _ = completed_pipeline
+    work = tmp_path / "campaign"
+    shutil.copytree(source, work)
+    config = load_config(work / "campaign.ini")
+    target = config.artifact("features.csv")
+    lines = target.read_text().splitlines(keepends=True)
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    del lines[header + 1]
+    target.write_text("".join(lines))
+    logs: list[str] = []
+    assert run_pipeline(config, ["isa-fit"], log=logs.append) == [("isa-fit", "ran")]
+    assert "isa-fit: left out 1 instance(s) without features" in logs
+    assert not any("every run failed" in line for line in logs)
 
 
 def test_cli_full_run_and_idempotent_rerun(tmp_path, capsys):

@@ -513,7 +513,6 @@ class TestRegistry:
             res = fn(k5, 5.0)
             assert isinstance(res, SolveResult)
             assert res.clique_size == 5
-            assert res.solver_id == solver_id
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (ingest, features, bench,
-isa-fit, isa-project, isa-footprint, train, report, run) plus two
-ad-hoc tools: ``solve`` runs one solver on one graph file, ``predict``
-ranks the portfolio for instances in a feature CSV.
+One command per operation: ``run`` runs the pipeline stages (ingest,
+features, bench, isa-fit, isa-project, isa-footprint, train, report),
+all of them or the ``--stages`` subset; ``solve`` runs one solver on one
+graph file; ``predict`` ranks the portfolio for instances in a feature CSV.
 
 Exit codes: 0 success; 2 configuration error; 3 data error (malformed
 inputs, missing artifacts, degenerate geometry); 4 campaign failure
@@ -32,9 +32,12 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _stage_command(args, stages) -> int:
+def _cmd_run(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    stages = None
+    if args.stages:
+        stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     config = load_config(args.config)
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
@@ -43,13 +46,6 @@ def _stage_command(args, stages) -> int:
     skipped = len(statuses) - ran
     print(f"{ran} stage(s) ran, {skipped} skipped; artifacts in {config.output_dir}")
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    stages = None
-    if args.stages:
-        stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-    return _stage_command(args, stages)
 
 
 def _cmd_solve(args) -> int:
@@ -103,34 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquespace",
         description="Instance-space analysis pipeline for maximum clique solvers.",
+        formatter_class=argparse.RawTextHelpFormatter,  # a hyphenated stage name stays whole
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage_parser(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="campaign INI file")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers, at least 1")
-        return p
-
-    run_p = stage_parser("run", "run the full pipeline (or --stages subset)")
-    run_p.add_argument(
-        "--stages", default="", help="comma-separated subset of: " + ", ".join(STAGE_ORDER)
+    stages = ", ".join(STAGE_ORDER)
+    run_p = sub.add_parser(
+        "run", help=f"run the pipeline stages: {stages}", formatter_class=parser.formatter_class
     )
+    run_p.add_argument("--config", required=True, help="campaign INI file")
+    run_p.add_argument("--jobs", type=int, default=None, help="parallel workers, at least 1")
+    run_p.add_argument("--stages", default="", help=f"comma-separated subset of: {stages}")
     run_p.set_defaults(handler=_cmd_run)
-
-    stage_help = {
-        "ingest": "scan the corpus and write the instance manifest",
-        "features": "compute the 35-feature vectors",
-        "bench": "run the solver portfolio (resumable journal)",
-        "isa-fit": "fit normalization, feature selection, and the 2-D projection",
-        "isa-project": "map instances to (Z1, Z2) coordinates",
-        "isa-footprint": "summarize per-solver footprint geometry",
-        "train": "train the per-solver selector",
-        "report": "write the footprint table and SVG scatter",
-    }
-    for name, help_text in stage_help.items():
-        p = stage_parser(name, help_text)
-        p.set_defaults(handler=lambda args, _name=name: _stage_command(args, [_name]))
 
     solve_p = sub.add_parser("solve", help="run one solver on one graph file")
     solve_p.add_argument(

@@ -22,6 +22,7 @@ import glob
 import hashlib
 import importlib
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -257,8 +258,12 @@ def resolve_corpus(config: PipelineConfig) -> list[Path]:
     for pattern in config.corpus:
         if not Path(pattern).is_absolute():
             pattern = str(config.base_dir / pattern)
+        # abspath, so one file two globs spell differently is one match; not
+        # resolve, as a symlink's own stem is its instance id
         matches.update(
-            Path(m) for m in glob.glob(pattern, recursive=True) if Path(m).is_file()
+            Path(os.path.abspath(m))
+            for m in glob.glob(pattern, recursive=True)
+            if Path(m).is_file()
         )
     return sorted(matches)
 

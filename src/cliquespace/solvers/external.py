@@ -87,7 +87,8 @@ def run_external(
     ``solver_id`` only names the solver in error messages."""
     check_template(cmd_template)
     with tempfile.TemporaryDirectory(prefix="cliquespace-ext-") as tmp:
-        instance_path = Path(tmp) / f"{g.name or 'instance'}.clq"
+        # a fixed name: a file stem may hold a space or, from a library Graph, a "/"
+        instance_path = Path(tmp) / "instance.clq"
         instance_path.write_text(serialize(g, GraphFormat.DIMACS_CLQ))
         argv = [
             arg.replace("{instance}", str(instance_path))

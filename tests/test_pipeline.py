@@ -420,7 +420,7 @@ def test_ingest_logs_parse_warnings(tmp_path, capsys):
     corpus.mkdir()
     (corpus / "dup.clq").write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 2\n")
     config_path = write_config(tmp_path)
-    assert main(["ingest", "--config", str(config_path)]) == 0
+    assert main(["run", "--config", str(config_path), "--stages", "ingest"]) == 0
     assert "ingest: dup.clq: dropped 1 duplicate edge(s)" in capsys.readouterr().err
     rows, _ = read_manifest(load_config(config_path).artifact("corpus.csv"))
     assert rows[0]["note"] == "" and rows[0]["usable"] is True
@@ -436,6 +436,19 @@ def test_duplicate_instance_ids_rejected(tmp_path):
     config = load_config(write_config(tmp_path, corpus_glob="corpus/*/*.clq"))
     with pytest.raises(PipelineError, match="duplicate instance id"):
         run_pipeline(config, ["ingest"])
+
+
+def test_one_file_two_globs_spell_differently_is_one_instance(tmp_path, monkeypatch):
+    count = write_corpus(tmp_path / "corpus")
+    (tmp_path / "links").mkdir()
+    (tmp_path / "links" / "alias.clq").symlink_to(tmp_path / "corpus" / "inst00.clq")
+    write_config(tmp_path, corpus_glob=f"corpus/*.clq {tmp_path}/corpus/inst00.clq links/*.clq")
+    monkeypatch.chdir(tmp_path)  # a relative config: the globs match relative paths
+    config = load_config(Path("campaign.ini"))
+    run_pipeline(config, ["ingest"])
+    ids = [row["instance_id"] for row in read_manifest(config.artifact("corpus.csv"))[0]]
+    # a symlink is its own instance, named by its own stem
+    assert len(ids) == count + 1 and "alias" in ids
 
 
 def test_config_change_discards_stale_journal(tmp_path):
@@ -1098,18 +1111,18 @@ def test_cli_predict_reads_an_explicit_projection(completed_pipeline, tmp_path, 
 def test_cli_stage_commands_reject_jobs_below_one(tmp_path, capsys, jobs):
     (tmp_path / "corpus").mkdir()
     config_path = write_config(tmp_path)
-    for argv in (["ingest"], ["run"]):
+    for argv in (["run", "--stages", "ingest"], ["run"]):
         assert main([*argv, "--config", str(config_path), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert "--jobs" in err and "run.jobs" not in err
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_stage_subcommands_match_stage_names(tmp_path, capsys):
+def test_cli_run_stages_runs_only_those_stages(tmp_path, capsys):
     write_corpus(tmp_path / "corpus")
     config_path = write_config(tmp_path)
-    assert main(["ingest", "--config", str(config_path)]) == 0
-    assert main(["features", "--config", str(config_path)]) == 0
+    assert main(["run", "--config", str(config_path), "--stages", "ingest"]) == 0
+    assert main(["run", "--config", str(config_path), "--stages", "features"]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "features.csv").exists()
     assert not (tmp_path / "out" / "runs.csv").exists()

@@ -455,6 +455,17 @@ class TestExternalAdapter:
         res = run_external(py_stub(code), c5, budget=10.0)
         assert res.clique_size == 2
 
+    @pytest.mark.parametrize("name", ["inst 01", "../escaped"])
+    def test_instance_copy_has_a_fixed_name(self, tmp_path, name):
+        # a stem with a space splits a shell string; a "/" leaves the temp directory
+        seen = tmp_path / "seen.txt"
+        command = f"sh -c 'test -s {{instance}} && echo {{instance}} > {seen} && echo clique 3'"
+        res = run_external(command, generate("complete", 3, name=name), budget=10.0)
+        assert res.clique_size == 3
+        copy = Path(seen.read_text().strip())
+        assert copy.name == "instance.clq" and copy.parent.name.startswith("cliquespace-ext-")
+        assert not copy.exists()
+
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
     @pytest.mark.parametrize("killed", [True, False], ids=["budget_kill", "exit"])
     def test_no_process_it_started_outlives_it(self, k3, tmp_path, killed):
